@@ -1,7 +1,7 @@
 """Tabulate the dimension lower bounds for Besicovitch sets in R^n.
 
 Three bounds per dimension, all exact rationals: the box-counting bound
-(2n+5)/7, the Hausdorff bound 6(n-1)/11 + 1, and the n/2 + 1 baseline.
+(4n+3)/7, the Hausdorff bound 6(n-1)/11 + 1, and the n/2 + 1 baseline.
 The novelty thresholds mark the first dimension where each new bound
 overtakes the baseline.
 """

@@ -92,11 +92,20 @@ def _emit_text(payload: dict, indent: int = 0) -> None:
             print(f"{pad}{key}: {value}")
 
 
+def _int_option(name: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise MalformedInstance(f"{name} must be an integer, got {text!r}") from None
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
+    if args.n < 1:
+        raise MalformedInstance(f"--n must be >= 1, got {args.n}")
     if args.base == "auto":
         base = None
     else:
-        base = int(args.base)
+        base = _int_option("--base", args.base)
     if args.which == "example1":
         inst = build_example_one(args.n, base=7 if base is None else base)
         pattern_pairs = None
@@ -107,7 +116,11 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         if args.pattern_file is None:
             raise MalformedInstance("pattern-file construction needs --pattern-file")
         with open(args.pattern_file, encoding="utf-8") as fh:
-            pattern = DigitPattern.from_json_dict(json.load(fh))
+            doc = json.load(fh)
+        try:
+            pattern = DigitPattern.from_json_dict(doc)
+        except (TypeError, ValueError) as exc:
+            raise MalformedInstance(f"bad pattern file: {exc}") from exc
         inst = tensor_pattern(
             pattern, args.n, base=min_base(pattern) if base is None else base
         )
@@ -143,7 +156,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.N == "auto":
         budget = _auto_budget(inst, with_d)
     else:
-        budget = int(args.N)
+        budget = _int_option("--N", args.N)
         if budget < 1:
             raise MalformedInstance(f"budget must be >= 1, got {budget}")
     cap = args.cap if args.cap is not None else 10**6
@@ -263,12 +276,15 @@ def _cmd_lemma(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    spec = SearchSpec(
-        alphabet_max=args.K,
-        constrain_d=args.constrain_d,
-        mode=args.mode,
-        node_budget=args.budget,
-    )
+    try:
+        spec = SearchSpec(
+            alphabet_max=args.K,
+            constrain_d=args.constrain_d,
+            mode=args.mode,
+            node_budget=args.budget,
+        )
+    except ValueError as exc:
+        raise MalformedInstance(str(exc)) from exc
     result = search(spec)
     report = certify(result, spec)
     payload = result.to_json_dict()

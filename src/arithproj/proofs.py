@@ -19,15 +19,26 @@ Both "determined by" claims are realized below as explicit reconstruction
 functions, so injectivity is checked by execution rather than argued.
 All denominators and fractional powers are handled exactly: x <= N^(p/q) is
 evaluated as x**q <= N**p over arbitrary-width integers.
+
+The ladder counts stream: count_linked_quads and count_skew_collisions run
+the fiber-sum recursion of chain_count_dp directly over the rows of
+inst.partners(), recomputing each wedge's labels in every pass and keeping
+only label counters, so memory is O(#G + #labels) rather than O(#wedges).
+The wedge cap still bounds the work: both raise EnumerationCapExceeded when
+the wedge count exceeds it.  linked_quad_problem and skew_collision_problem
+build the same counts as explicit ChainProblems for cross-checking.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .chains import ChainProblem, Labeling, chain_count_dp
+# chain_count_dp is re-exported: it counts the explicit problems below.
+from .chains import ChainProblem, Labeling, chain_count_dp  # noqa: F401
 from .errors import EnumerationCapExceeded, NoPreimage, NotDifferenceInjective
 from .groups import AmbientGroup
 from .instances import (
@@ -75,10 +86,14 @@ def wedge_count(inst: Instance) -> int:
     return sum(len(ys) ** 2 for ys in inst.partners().values())
 
 
-def enumerate_wedges(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> tuple[Wedge, ...]:
+def _check_wedge_cap(inst: Instance, cap: int) -> None:
     total = wedge_count(inst)
     if total > cap:
         raise EnumerationCapExceeded(f"{total} wedges exceed cap {cap}")
+
+
+def enumerate_wedges(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> tuple[Wedge, ...]:
+    _check_wedge_cap(inst, cap)
     out = []
     for a, ys in sorted(inst.partners().items()):
         for b in ys:
@@ -118,7 +133,32 @@ def linked_quad_problem(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> ChainPr
 
 
 def count_linked_quads(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> int:
-    return chain_count_dp(linked_quad_problem(inst, cap=cap))
+    """Chains of the three linked_quad_problem labelings, by fiber sums.
+
+    c1 is the fiber size of (a+b, a+b2); c2 sums c1 over the fibers of
+    (b, b2); c3 sums c2 over the fibers of (a+b, b2), whose sizes are n3.
+    Each chain ends in some fiber of the last label, so the count is
+    sum(c3[l] * n3[l]).
+    """
+    _check_wedge_cap(inst, cap)
+    g = inst.group
+    rows = [(ys, [g.add(a, b) for b in ys]) for a, ys in inst.partners().items()]
+    c1: Counter = Counter()
+    for _, sums in rows:
+        c1.update(itertools.product(sums, sums))
+    c2: Counter = Counter()
+    for ys, sums in rows:
+        weights = map(c1.__getitem__, itertools.product(sums, sums))
+        for label, weight in zip(itertools.product(ys, ys), weights):
+            c2[label] += weight
+    c3: Counter = Counter()
+    n3: Counter = Counter()
+    for ys, sums in rows:
+        n3.update(itertools.product(sums, ys))
+        weights = map(c2.__getitem__, itertools.product(ys, ys))
+        for label, weight in zip(itertools.product(sums, ys), weights):
+            c3[label] += weight
+    return sum(weight * n3[label] for label, weight in c3.items())
 
 
 def skew_collision_problem(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> ChainProblem:
@@ -134,7 +174,13 @@ def skew_collision_problem(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> Chai
 
 
 def count_skew_collisions(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> int:
-    return chain_count_dp(skew_collision_problem(inst, cap=cap))
+    """Ordered wedge pairs sharing (a+2b, b2): the sum of squared fiber sizes."""
+    _check_wedge_cap(inst, cap)
+    g = inst.group
+    fibers: Counter = Counter()
+    for a, ys in inst.partners().items():
+        fibers.update(itertools.product([g.add(a, g.scale(2, b)) for b in ys], ys))
+    return sum(n * n for n in fibers.values())
 
 
 def quad_fingerprint(quad: tuple[Wedge, Wedge, Wedge, Wedge]) -> tuple[Wedge, int, int]:
@@ -294,8 +340,6 @@ def verify_three_slice_chain(
     require_hypotheses(reduced, budget, with_d=False)
     relation = len(reduced.pairs)
     wedges = wedge_count(reduced)
-    if wedges > cap:
-        raise EnumerationCapExceeded(f"{wedges} wedges exceed cap {cap}")
     quads = count_linked_quads(reduced, cap=cap)
     c_size = len(project(reduced, SUM))
     b_size = len(reduced.b_set)
@@ -332,8 +376,6 @@ def verify_four_slice_chain(
     require_hypotheses(reduced, budget, with_d=True)
     relation = len(reduced.pairs)
     wedges = wedge_count(reduced)
-    if wedges > cap:
-        raise EnumerationCapExceeded(f"{wedges} wedges exceed cap {cap}")
     collisions = count_skew_collisions(reduced, cap=cap)
     d_size = len(project(reduced, SKEW_SUM))
     b_size = len(reduced.b_set)

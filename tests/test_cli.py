@@ -74,6 +74,25 @@ def test_construct_invalid_base_exit_code(capsys):
     assert "error" in err
 
 
+def test_construct_zero_digits_exit_code(capsys):
+    code, stdout, err = run(capsys, ["construct", "example1", "--n", "0"])
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error:") and "--n" in err
+
+
+def test_construct_negative_pattern_pair_exit_code(tmp_path, capsys):
+    pattern_path = tmp_path / "pattern.json"
+    pattern_path.write_text(json.dumps({"pairs": [[0, 1], [1, -1]]}))
+    code, stdout, err = run(
+        capsys,
+        ["construct", "pattern-file", "--pattern-file", str(pattern_path), "--n", "1"],
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error:") and "nonnegative" in err
+
+
 def test_verify_both_chains(tmp_path, capsys):
     out = tmp_path / "inst.json"
     assert main(["construct", "example2", "--n", "2", "--out", str(out)]) == 0
@@ -120,6 +139,16 @@ def test_verify_malformed_file(tmp_path, capsys):
     assert "error" in err
     code, _, _ = run(capsys, ["verify", str(tmp_path / "missing.json")])
     assert code == 2
+
+
+def test_verify_non_integer_budget_exit_code(tmp_path, capsys):
+    out = tmp_path / "inst.json"
+    assert main(["construct", "example1", "--n", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    code, stdout, err = run(capsys, ["verify", str(out), "--N", "abc"])
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error:") and "--N" in err
 
 
 def test_lemma_problem_file(tmp_path, capsys):
@@ -183,6 +212,13 @@ def test_search_budget_exit_code(capsys):
     code, stdout, _ = run(capsys, ["search", "--K", "3", "--budget", "20"])
     assert code == 4
     assert json.loads(stdout)["exhaustive"] is False
+
+
+def test_search_exhaustive_too_large_exit_code(capsys):
+    code, stdout, err = run(capsys, ["search", "--K", "9", "--mode", "exhaustive"])
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error:") and "25 cells" in err
 
 
 def test_search_branch_bound_constrained(capsys):

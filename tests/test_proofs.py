@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from arithproj.chains import chain_count_dp
 from arithproj.errors import (
     EnumerationCapExceeded,
     HypothesisViolated,
@@ -29,9 +30,11 @@ from arithproj.proofs import (
     count_linked_quads,
     count_skew_collisions,
     enumerate_wedges,
+    linked_quad_problem,
     quad_fingerprint,
     reconstruct_pair,
     reconstruct_quad,
+    skew_collision_problem,
     verify_four_slice_chain,
     verify_three_slice_chain,
     wedge_count,
@@ -119,6 +122,38 @@ def test_linked_counts_match_brute_force():
             count_linked_quads(inst),
             count_skew_collisions(inst),
         )
+
+
+def test_streaming_counts_match_chain_problems():
+    rng = random.Random(47)
+    modular = 0
+    for _ in range(240):
+        inst = reduce_to_difference_injective(random_instance(rng, max_side=8))
+        modular += inst.group.is_modular
+        assert count_linked_quads(inst) == chain_count_dp(linked_quad_problem(inst))
+        assert count_skew_collisions(inst) == chain_count_dp(
+            skew_collision_problem(inst)
+        )
+    assert 0 < modular < 240
+
+
+def test_streaming_counts_are_multiplicative_on_tensors():
+    for n in (1, 2, 3):
+        ex1 = build_example_one(n)
+        ex2 = build_example_two(n)
+        assert count_linked_quads(ex1) == 36**n
+        assert count_skew_collisions(ex1) == 12**n
+        assert count_linked_quads(ex2) == 97**n
+        assert count_skew_collisions(ex2) == 30**n
+
+
+def test_streaming_counts_respect_wedge_cap():
+    inst = build_example_one(2)
+    assert wedge_count(inst) == 144
+    for count in (count_linked_quads, count_skew_collisions):
+        with pytest.raises(EnumerationCapExceeded):
+            count(inst, cap=143)
+        assert count(inst, cap=144) > 0
 
 
 def exhaustive_round_trip(inst: Instance) -> tuple[int, int]:
