@@ -368,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int, required=True, help="largest digit allowed")
     p.add_argument("--constrain-d", action="store_true", help="bound the skew slice too")
     p.add_argument("--mode", choices=("exhaustive", "branch-bound"), default="exhaustive")
-    p.add_argument("--budget", type=int, default=None, help="node budget")
+    p.add_argument("--budget", type=int, default=None, help="node budget, >= 1")
     p.add_argument("--out", default=None, help="result JSON destination")
     p.set_defaults(func=_cmd_search)
 

@@ -7,8 +7,9 @@ Three bound families in ambient dimension n >= 2:
 * wolff:     (n + 2) / 2, the prior benchmark for both notions.
 
 The first two follow from the additive projection machinery in this
-package; the benchmark is listed so callers can see exactly where each
-new bound starts to win.
+package: each is (n - 1) / alpha + 1 for the exponent alpha of the matching
+ladder in proofs (7/4 and 11/6).  The benchmark is listed so callers can
+see exactly where each new bound starts to win.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidDimension
+from .proofs import FOUR_SLICE_EXPONENT, THREE_SLICE_EXPONENT
 
 __all__ = [
     "DimensionReport",
@@ -34,15 +36,15 @@ def _require_dimension(n: int) -> None:
 
 
 def minkowski_bound(n: int) -> Fraction:
-    """Box-dimension lower bound (4n + 3) / 7."""
+    """Box-dimension lower bound (n - 1) / (7/4) + 1 = (4n + 3) / 7."""
     _require_dimension(n)
-    return Fraction(4 * n + 3, 7)
+    return (n - 1) / FOUR_SLICE_EXPONENT + 1
 
 
 def hausdorff_bound(n: int) -> Fraction:
-    """Hausdorff-dimension lower bound (6n + 5) / 11."""
+    """Hausdorff-dimension lower bound (n - 1) / (11/6) + 1 = (6n + 5) / 11."""
     _require_dimension(n)
-    return Fraction(6 * n + 5, 11)
+    return (n - 1) / THREE_SLICE_EXPONENT + 1
 
 
 def wolff_bound(n: int) -> Fraction:

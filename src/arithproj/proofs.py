@@ -53,6 +53,8 @@ from .instances import (
 
 __all__ = [
     "DEFAULT_WEDGE_CAP",
+    "FOUR_SLICE_EXPONENT",
+    "THREE_SLICE_EXPONENT",
     "ChainReport",
     "Inequality",
     "Wedge",
@@ -71,6 +73,11 @@ __all__ = [
 ]
 
 DEFAULT_WEDGE_CAP = 10**6
+
+# alpha in #differences <= budget**alpha, for each ladder; kakeya derives
+# its dimension bounds from the same two values
+THREE_SLICE_EXPONENT = Fraction(11, 6)
+FOUR_SLICE_EXPONENT = Fraction(7, 4)
 
 
 class Wedge(NamedTuple):
@@ -356,7 +363,11 @@ def verify_three_slice_chain(
         ),
         Inequality("quad-count-upper", Fraction(quads), Fraction(n**2 * wedges)),
         Inequality("wedge-count-upper", Fraction(wedges**3), Fraction(n**8)),
-        Inequality("difference-count-upper", Fraction(relation**6), Fraction(n**11)),
+        Inequality(
+            "difference-count-upper",
+            Fraction(relation**THREE_SLICE_EXPONENT.denominator),
+            Fraction(n**THREE_SLICE_EXPONENT.numerator),
+        ),
     )
     return ChainReport(
         budget=budget,
@@ -391,7 +402,11 @@ def verify_four_slice_chain(
         ),
         Inequality("pair-count-upper", Fraction(collisions), Fraction(n**3)),
         Inequality("wedge-count-upper", Fraction(wedges**2), Fraction(n**5)),
-        Inequality("difference-count-upper", Fraction(relation**4), Fraction(n**7)),
+        Inequality(
+            "difference-count-upper",
+            Fraction(relation**FOUR_SLICE_EXPONENT.denominator),
+            Fraction(n**FOUR_SLICE_EXPONENT.numerator),
+        ),
     )
     return ChainReport(
         budget=budget,

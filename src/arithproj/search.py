@@ -2,11 +2,18 @@
 
 The space is patterns inside {0..K} x {0..K}, by default difference-injective
 (at most one cell per diagonal x - y = const).  Patterns are scored by the
-growth exponent ln(count) / ln(max slice size), where count is the pair count
-(equivalently the difference count) and the slices are A, B, C and, when the
+growth exponent ln(#differences) / ln(max slice size); for difference-injective
+patterns #differences equals #pairs.  The slices are A, B, C and, when the
 skew slice is constrained, D.  Translations of either axis and the joint
 reflection (x, y) -> (max - x, max - y) preserve every slice size, so the
 search scores one representative per symmetry class.
+
+One depth-first walk covers both spaces.  It visits a list of choice groups
+and, at each group, first skips it and then tries each of its cells in turn.
+A group is a diagonal x - y = d in the difference-injective space and a
+single cell (in x-major order) otherwise.  Branch-and-bound mode prunes a
+subtree only when even one more pair per remaining group could not reach
+the incumbent's score.
 
 Score comparisons are decided exactly: log ratios of integers are either
 equal as recognized by primitive-power reduction, or separated by a rational
@@ -16,11 +23,10 @@ u/v whose position is checked through integer powers (count**v vs slice**u).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .patterns import DigitPattern, min_base, pattern_stats, tensor_pattern
+from .patterns import DigitPattern, pattern_stats, tensor_pattern, tensor_sizes
 
 __all__ = [
     "CertificationReport",
@@ -55,13 +61,22 @@ def canonicalize(pattern: DigitPattern) -> DigitPattern:
     return DigitPattern(pairs=min(base, mirrored), constrain_d=pattern.constrain_d)
 
 
+def _integer_root(n: int, k: int) -> int:
+    """Floor of the k-th root of n >= 1, by integer Newton steps."""
+    x = 1 << -(-n.bit_length() // k)  # a power of two at or above the root
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _primitive_power(n: int) -> tuple[int, int]:
     """Smallest root r >= 2 and largest k >= 1 with r**k == n, for n >= 2."""
     for k in range(n.bit_length() - 1, 1, -1):
-        r = round(n ** (1.0 / k))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 2 and cand**k == n:
-                return cand, k
+        r = _integer_root(n, k)
+        if r**k == n:
+            return r, k
     return n, 1
 
 
@@ -122,13 +137,12 @@ def compare_scores(count1: int, slice1: int, count2: int, slice2: int) -> int:
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """What to search: alphabet bound, slice set, mode, budgets."""
+    """What to search: alphabet bound, slice set, mode, node budget."""
 
     alphabet_max: int
     constrain_d: bool = False
     mode: str = "exhaustive"
     node_budget: int | None = None
-    time_budget: float | None = None
     require_difference_injective: bool = True
     witness_cap: int = 64
 
@@ -142,6 +156,8 @@ class SearchSpec:
             raise ValueError(
                 f"exhaustive mode allows at most {_EXHAUSTIVE_CELL_LIMIT} cells, got {cells}"
             )
+        if self.node_budget is not None and self.node_budget < 1:
+            raise ValueError(f"node_budget must be >= 1, got {self.node_budget}")
         if self.witness_cap < 1:
             raise ValueError("witness_cap must be >= 1")
 
@@ -163,67 +179,51 @@ class SearchResult:
 
 
 class _Budget:
-    def __init__(self, spec: SearchSpec) -> None:
-        self.node_budget = spec.node_budget
-        self.deadline = (
-            None if spec.time_budget is None else time.monotonic() + spec.time_budget
-        )
+    def __init__(self, node_budget: int | None) -> None:
+        self.node_budget = node_budget
         self.nodes = 0
         self.exhausted = False
 
     def spend_node(self) -> bool:
-        """Account one node; False once any budget is gone."""
+        """Account one node; False once the budget is gone."""
         if self.exhausted:
             return False
         self.nodes += 1
         if self.node_budget is not None and self.nodes > self.node_budget:
             self.exhausted = True
             return False
-        if self.deadline is not None and self.nodes % 1024 == 0:
-            if time.monotonic() > self.deadline:
-                self.exhausted = True
-                return False
         return True
 
 
-class _Incumbent:
-    """Tracks the best (count, slice) score and all canonical ties."""
+def _max_slice(pattern: DigitPattern) -> int:
+    """Largest scored slice: A, B, C and, when constrained, D."""
+    sizes = [
+        len(pattern.x_alphabet),
+        len(pattern.y_alphabet),
+        len(pattern.sum_slice),
+    ]
+    if pattern.constrain_d:
+        sizes.append(len(pattern.skew_slice))
+    return max(sizes)
 
-    def __init__(self, constrain_d: bool, score_by_differences: bool) -> None:
-        self.constrain_d = constrain_d
-        self.score_by_differences = score_by_differences
+
+class _Incumbent:
+    """Tracks the best (#differences, max slice) score and all canonical ties."""
+
+    def __init__(self) -> None:
         self.best: tuple[int, int] | None = None
         self.ties: list[DigitPattern] = []
         self.seen: set[tuple[tuple[int, int], ...]] = set()
 
-    def score_of(self, pattern: DigitPattern) -> tuple[int, int] | None:
-        sizes = [
-            len(pattern.x_alphabet),
-            len(pattern.y_alphabet),
-            len(pattern.sum_slice),
-        ]
-        if self.constrain_d:
-            sizes.append(len(pattern.skew_slice))
-        slice_size = max(sizes)
-        if slice_size < 2:
-            return None
-        count = (
-            len(pattern.difference_slice)
-            if self.score_by_differences
-            else len(pattern.pairs)
-        )
-        return (count, slice_size)
-
-    def offer(self, raw_pairs: tuple[tuple[int, int], ...]) -> None:
-        pattern = canonicalize(
-            DigitPattern(pairs=raw_pairs, constrain_d=self.constrain_d)
-        )
+    def offer(self, pattern: DigitPattern) -> None:
+        pattern = canonicalize(pattern)
         if pattern.pairs in self.seen:
             return
         self.seen.add(pattern.pairs)
-        score = self.score_of(pattern)
-        if score is None:
+        slice_size = _max_slice(pattern)
+        if slice_size < 2:
             return
+        score = (len(pattern.difference_slice), slice_size)
         if self.best is None:
             self.best = score
             self.ties = [pattern]
@@ -246,104 +246,58 @@ class _Incumbent:
         return SearchResult(exponent, witnesses, exhaustive, nodes)
 
 
-def _diagonal_cells(k: int) -> list[list[tuple[int, int]]]:
-    """Cells of {0..k}^2 grouped by the diagonal x - y, each group x-sorted."""
-    return [
-        [(x, x - d) for x in range(max(0, d), min(k, k + d) + 1)]
-        for d in range(-k, k + 1)
-    ]
-
-
-def _search_injective(spec: SearchSpec) -> SearchResult:
-    diagonals = _diagonal_cells(spec.alphabet_max)
-    incumbent = _Incumbent(spec.constrain_d, score_by_differences=False)
-    budget = _Budget(spec)
-    prune = spec.mode == "branch-bound"
-    chosen: list[tuple[int, int]] = []
-
-    def descend(diag_index: int) -> None:
-        if budget.exhausted or not budget.spend_node():
-            return
-        if diag_index == len(diagonals):
-            if chosen:
-                incumbent.offer(tuple(chosen))
-            return
-        if prune and chosen and incumbent.best is not None:
-            optimistic_count = len(chosen) + (len(diagonals) - diag_index)
-            score = incumbent.score_of(
-                DigitPattern(tuple(chosen), constrain_d=spec.constrain_d)
-            )
-            if score is not None:
-                slice_size = score[1]
-                # prune only strictly dominated subtrees: slices are monotone
-                # under adding cells, so a tie here may still hide a witness
-                if (
-                    optimistic_count < 1
-                    or compare_scores(
-                        max(1, optimistic_count), slice_size, *incumbent.best
-                    )
-                    < 0
-                ):
-                    return
-        descend(diag_index + 1)
-        for cell in diagonals[diag_index]:
-            if budget.exhausted:
-                return
-            chosen.append(cell)
-            descend(diag_index + 1)
-            chosen.pop()
-
-    descend(0)
-    return incumbent.result(not budget.exhausted, budget.nodes, spec.witness_cap)
-
-
-def _search_subsets(spec: SearchSpec) -> SearchResult:
-    k = spec.alphabet_max
-    cells = [(x, y) for x in range(k + 1) for y in range(k + 1)]
-    incumbent = _Incumbent(spec.constrain_d, score_by_differences=True)
-    budget = _Budget(spec)
-    prune = spec.mode == "branch-bound"
-    chosen: list[tuple[int, int]] = []
-
-    def descend(cell_index: int) -> None:
-        if budget.exhausted or not budget.spend_node():
-            return
-        if cell_index == len(cells):
-            if chosen:
-                incumbent.offer(tuple(chosen))
-            return
-        if prune and chosen and incumbent.best is not None:
-            optimistic_count = len(chosen) + (len(cells) - cell_index)
-            score = incumbent.score_of(
-                DigitPattern(tuple(chosen), constrain_d=spec.constrain_d)
-            )
-            if score is not None:
-                slice_size = score[1]
-                # same tie-preserving rule as the injective walk
-                if (
-                    compare_scores(max(1, optimistic_count), slice_size, *incumbent.best)
-                    < 0
-                ):
-                    return
-        descend(cell_index + 1)
-        if not budget.exhausted:
-            chosen.append(cells[cell_index])
-            descend(cell_index + 1)
-            chosen.pop()
-
-    descend(0)
-    return incumbent.result(not budget.exhausted, budget.nodes, spec.witness_cap)
-
-
 def search(spec: SearchSpec) -> SearchResult:
     """Explore the pattern space and return the best exponent with witnesses.
 
-    Hitting a node or time budget returns the incumbent with
-    exhaustive=False; that is a flagged result, not an error.
+    Hitting the node budget returns the incumbent with exhaustive=False;
+    that is a flagged result, not an error.
     """
+    k = spec.alphabet_max
     if spec.require_difference_injective:
-        return _search_injective(spec)
-    return _search_subsets(spec)
+        groups = [
+            [(x, x - d) for x in range(max(0, d), min(k, k + d) + 1)]
+            for d in range(-k, k + 1)
+        ]
+    else:
+        groups = [[(x, y)] for x in range(k + 1) for y in range(k + 1)]
+    incumbent = _Incumbent()
+    budget = _Budget(spec.node_budget)
+    prune = spec.mode == "branch-bound"
+    chosen: list[tuple[int, int]] = []
+
+    def descend(index: int) -> None:
+        if not budget.spend_node():
+            return
+        if index == len(groups):
+            if chosen:
+                incumbent.offer(
+                    DigitPattern(tuple(chosen), constrain_d=spec.constrain_d)
+                )
+            return
+        if prune and chosen and incumbent.best is not None:
+            slice_size = _max_slice(
+                DigitPattern(tuple(chosen), constrain_d=spec.constrain_d)
+            )
+            # prune only strictly dominated subtrees: slices are monotone
+            # under adding cells, so a tie here may still hide a witness
+            if (
+                slice_size >= 2
+                and compare_scores(
+                    len(chosen) + len(groups) - index, slice_size, *incumbent.best
+                )
+                < 0
+            ):
+                return
+        descend(index + 1)
+        for cell in groups[index]:
+            if budget.exhausted:
+                return
+            chosen.append(cell)
+            descend(index + 1)
+            chosen.pop()
+
+    descend(0)
+    return incumbent.result(not budget.exhausted, budget.nodes, spec.witness_cap)
 
 
 @dataclass(frozen=True)
@@ -360,9 +314,8 @@ def certify(result: SearchResult, spec: SearchSpec) -> CertificationReport:
 
     Witnesses must be canonical, inside the alphabet, difference-injective
     when the search settings demand it, score exactly the reported
-    exponent, and
-    realize their slice sizes as honest Cartesian powers when tensored to
-    two digits at their own carry-free base.
+    exponent, and realize the slice sizes tensor_sizes predicts when
+    tensored to two digits at their own carry-free base.
     """
     diagnostics: list[str] = []
     for i, witness in enumerate(result.witnesses):
@@ -378,24 +331,17 @@ def certify(result: SearchResult, spec: SearchSpec) -> CertificationReport:
         if spec.require_difference_injective and not witness.difference_injective:
             diagnostics.append(f"{tag}: not difference-injective")
             continue
-        stats = pattern_stats(
-            DigitPattern(witness.pairs, constrain_d=spec.constrain_d)
-        )
-        count = (
-            len(witness.difference_slice)
-            if not spec.require_difference_injective
-            else stats.pair_count
-        )
+        pattern = DigitPattern(witness.pairs, constrain_d=spec.constrain_d)
+        stats = pattern_stats(pattern)
         if stats.max_slice < 2:
             diagnostics.append(f"{tag}: degenerate slices cannot score")
             continue
-        exponent = math.log(count) / math.log(stats.max_slice)
+        exponent = math.log(stats.difference_size) / math.log(stats.max_slice)
         if abs(exponent - result.best_exponent) > 1e-9:
             diagnostics.append(
                 f"{tag}: exponent mismatch ({exponent!r} vs {result.best_exponent!r})"
             )
-        pattern = DigitPattern(witness.pairs, constrain_d=spec.constrain_d)
-        inst = tensor_pattern(pattern, 2, base=min_base(pattern))
+        inst = tensor_pattern(pattern, 2, base=stats.min_base)
         measured = {
             "A": len(inst.a_set),
             "B": len(inst.b_set),
@@ -403,16 +349,9 @@ def certify(result: SearchResult, spec: SearchSpec) -> CertificationReport:
             "G": len(inst.pairs),
             "differences": len({u - v for u, v in inst.pairs}),
         }
-        expected = {
-            "A": len(pattern.x_alphabet) ** 2,
-            "B": len(pattern.y_alphabet) ** 2,
-            "C": len(pattern.sum_slice) ** 2,
-            "G": len(pattern.pairs) ** 2,
-            "differences": len(pattern.difference_slice) ** 2,
-        }
         if spec.constrain_d:
             measured["D"] = len({u + 2 * v for u, v in inst.pairs})
-            expected["D"] = len(pattern.skew_slice) ** 2
+        expected = tensor_sizes(pattern, 2)
         if measured != expected:
             diagnostics.append(
                 f"{tag}: tensor cardinality mismatch ({measured} vs {expected})"

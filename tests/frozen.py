@@ -29,3 +29,27 @@ K4_WITNESSES = frozenset(
 )
 K4_EXHAUSTIVE_NODES = 148473
 K4_BRANCH_BOUND_NODES = 14667
+
+# alphabet {0..3}, any subset (require_difference_injective=False), scored
+# by the number of distinct differences
+K3_NONINJECTIVE_BRANCH_BOUND_NODES = 23901
+
+# alphabet {0..2}, any subset, exhaustive
+K2_NONINJECTIVE_EXHAUSTIVE_NODES = 1023
+
+# alphabet {0..5}, difference-injective, no skew constraint, branch-bound
+K5_BEST_SCORE = (10, 4)
+K5_BEST_EXPONENT = math.log(10) / math.log(4)
+K5_WITNESSES = frozenset(
+    {
+        ((0, 1), (0, 2), (0, 5), (1, 0), (1, 1), (1, 5), (4, 1), (4, 2), (5, 0), (5, 1)),
+        ((0, 1), (0, 4), (0, 5), (1, 0), (1, 4), (3, 1), (3, 5), (4, 0), (4, 1), (4, 4)),
+        ((0, 1), (0, 4), (1, 0), (1, 3), (1, 4), (4, 0), (4, 1), (4, 4), (5, 0), (5, 3)),
+        ((0, 1), (0, 5), (1, 0), (1, 1), (1, 4), (1, 5), (2, 0), (2, 4), (5, 0), (5, 1)),
+        ((0, 2), (0, 4), (0, 5), (2, 0), (2, 2), (2, 5), (3, 2), (3, 4), (5, 0), (5, 2)),
+        ((0, 2), (0, 5), (2, 0), (2, 2), (2, 3), (2, 5), (4, 0), (4, 3), (5, 0), (5, 2)),
+        ((0, 3), (0, 4), (2, 1), (2, 3), (2, 4), (3, 0), (3, 1), (3, 3), (5, 0), (5, 1)),
+        ((0, 3), (0, 5), (1, 2), (1, 3), (1, 5), (3, 0), (3, 2), (3, 3), (4, 0), (4, 2)),
+    }
+)
+K5_BRANCH_BOUND_NODES = 99770

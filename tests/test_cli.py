@@ -214,6 +214,14 @@ def test_search_budget_exit_code(capsys):
     assert json.loads(stdout)["exhaustive"] is False
 
 
+def test_search_non_positive_budget_exit_code(capsys):
+    for budget in ("0", "-5"):
+        code, stdout, err = run(capsys, ["search", "--K", "2", "--budget", budget])
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error:") and "node_budget" in err
+
+
 def test_search_exhaustive_too_large_exit_code(capsys):
     code, stdout, err = run(capsys, ["search", "--K", "9", "--mode", "exhaustive"])
     assert code == 2

@@ -98,6 +98,13 @@ def test_compare_scores_irrational_cases():
     assert compare_scores(8, 5, 6, 3) == -1
 
 
+def test_compare_scores_big_integers():
+    assert compare_scores(6**500, 3**500, 8, 4) == 1
+    assert compare_scores(6**500, 3**500, 36, 9) == 0
+    q, r = 10**160 + 7, 10**170 + 3
+    assert compare_scores(q * q, r * r, q, r) == 0
+
+
 def test_compare_scores_agrees_with_floats():
     rng = random.Random(71)
     for _ in range(400):
@@ -122,6 +129,9 @@ def test_search_spec_validation():
     SearchSpec(alphabet_max=5, mode="branch-bound")
     with pytest.raises(ValueError):
         SearchSpec(alphabet_max=2, witness_cap=0)
+    for budget in (0, -5):
+        with pytest.raises(ValueError):
+            SearchSpec(alphabet_max=2, node_budget=budget)
 
 
 def test_degenerate_alphabet():
@@ -187,6 +197,37 @@ def test_branch_bound_frozen_node_counts():
     assert r3.nodes_explored == frozen.K3_BRANCH_BOUND_NODES
     r4 = search(SearchSpec(alphabet_max=4, constrain_d=True, mode="branch-bound"))
     assert r4.nodes_explored == frozen.K4_BRANCH_BOUND_NODES
+
+
+def test_noninjective_frozen_walks():
+    spec = SearchSpec(
+        alphabet_max=3, mode="branch-bound", require_difference_injective=False
+    )
+    result = search(spec)
+    assert result.exhaustive
+    assert result.nodes_explored == frozen.K3_NONINJECTIVE_BRANCH_BOUND_NODES
+    assert {w.pairs for w in result.witnesses} == frozen.K3_WITNESSES
+    witness = result.witnesses[0]
+    stats = pattern_stats(witness)
+    assert (stats.difference_size, stats.max_slice) == frozen.K3_BEST_SCORE
+    assert certify(result, spec).ok
+
+    full = search(SearchSpec(alphabet_max=2, require_difference_injective=False))
+    assert full.exhaustive
+    assert full.nodes_explored == frozen.K2_NONINJECTIVE_EXHAUSTIVE_NODES
+
+
+def test_k5_branch_bound_frozen_optimum():
+    spec = SearchSpec(alphabet_max=5, mode="branch-bound")
+    result = search(spec)
+    assert result.exhaustive
+    assert result.nodes_explored == frozen.K5_BRANCH_BOUND_NODES
+    assert abs(result.best_exponent - frozen.K5_BEST_EXPONENT) < 1e-12
+    assert {w.pairs for w in result.witnesses} == frozen.K5_WITNESSES
+    for witness in result.witnesses:
+        stats = pattern_stats(witness)
+        assert (stats.pair_count, stats.max_slice) == frozen.K5_BEST_SCORE
+    assert certify(result, spec).ok
 
 
 def test_node_budget_flags_result():
