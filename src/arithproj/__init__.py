@@ -5,185 +5,33 @@ a relation's size to its sum, difference, and skew-sum projections,
 digit-pattern constructions showing the bounds are close to sharp, an
 exhaustive search over small patterns, and the resulting dimension
 estimates for Besicovitch sets.  All arithmetic is integer or rational.
+
+The package namespace is the union of the modules' ``__all__`` lists.  The
+name ``search`` is the search function, which shadows the submodule of the
+same name; ``from arithproj.search import ...`` still reads the module.
 """
 
 from __future__ import annotations
 
-from .chains import (
-    DEFAULT_ENUMERATION_CAP,
-    ChainProblem,
-    Labeling,
-    chain_count_dp,
-    chain_count_naive,
-    chain_lower_bound,
-    popular_filter,
-    tensor_power,
-)
-from .errors import (
-    ArithprojError,
-    EmptyLabelSet,
-    EnumerationCapExceeded,
-    HypothesisViolated,
-    InstanceTooLarge,
-    InvalidBase,
-    InvalidDimension,
-    MalformedInstance,
-    NoPreimage,
-    NotDifferenceInjective,
-    OutOfRange,
-)
-from .groups import (
-    ELEMENT_MAGNITUDE_CAP,
-    AmbientGroup,
-    DigitVector,
-    digits_to_elem,
-    elem_to_digits,
-)
-from .instances import (
-    DIFFERENCE,
-    SKEW_SUM,
-    SUM,
-    HypothesisReport,
-    Instance,
-    LinearForm,
-    check_hypotheses,
-    is_difference_injective,
-    load_instance,
-    project,
-    reduce_to_difference_injective,
-    require_hypotheses,
-    save_instance,
-)
-from .kakeya import (
-    DimensionReport,
-    dimension_report,
-    hausdorff_bound,
-    minkowski_bound,
-    novelty_threshold,
-    wolff_bound,
-)
-from .patterns import (
-    DEFAULT_PAIR_CAP,
-    EXAMPLE_ONE_PATTERN,
-    EXAMPLE_TWO_PATTERN,
-    DigitPattern,
-    PatternStats,
-    build_example_one,
-    build_example_two,
-    min_base,
-    pattern_stats,
-    tensor_pattern,
-    tensor_sizes,
-)
-from .proofs import (
-    DEFAULT_WEDGE_CAP,
-    ChainReport,
-    Inequality,
-    Wedge,
-    collision_fingerprint,
-    count_linked_quads,
-    count_skew_collisions,
-    enumerate_wedges,
-    linked_quad_problem,
-    quad_fingerprint,
-    reconstruct_pair,
-    reconstruct_quad,
-    skew_collision_problem,
-    verify_four_slice_chain,
-    verify_three_slice_chain,
-    wedge_count,
-)
-from .sampling import random_chain_problem, random_instance
-from .search import (
-    CertificationReport,
-    SearchResult,
-    SearchSpec,
-    canonicalize,
-    certify,
-    compare_scores,
-    search,
-)
+from . import chains, errors, groups, instances, kakeya, patterns, proofs, sampling
+from . import search as _search_module
+from .chains import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .groups import *  # noqa: F403
+from .instances import *  # noqa: F403
+from .kakeya import *  # noqa: F403
+from .patterns import *  # noqa: F403
+from .proofs import *  # noqa: F403
+from .sampling import *  # noqa: F403
+from .search import *  # noqa: F403  (rebinds ``search`` to the function)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArithprojError",
-    "AmbientGroup",
-    "CertificationReport",
-    "ChainProblem",
-    "ChainReport",
-    "DEFAULT_ENUMERATION_CAP",
-    "DEFAULT_PAIR_CAP",
-    "DEFAULT_WEDGE_CAP",
-    "DIFFERENCE",
-    "DigitPattern",
-    "DigitVector",
-    "DimensionReport",
-    "ELEMENT_MAGNITUDE_CAP",
-    "EXAMPLE_ONE_PATTERN",
-    "EXAMPLE_TWO_PATTERN",
-    "EmptyLabelSet",
-    "EnumerationCapExceeded",
-    "HypothesisReport",
-    "HypothesisViolated",
-    "Inequality",
-    "Instance",
-    "InstanceTooLarge",
-    "InvalidBase",
-    "InvalidDimension",
-    "Labeling",
-    "LinearForm",
-    "MalformedInstance",
-    "NoPreimage",
-    "NotDifferenceInjective",
-    "OutOfRange",
-    "PatternStats",
-    "SKEW_SUM",
-    "SUM",
-    "SearchResult",
-    "SearchSpec",
-    "Wedge",
-    "build_example_one",
-    "build_example_two",
-    "canonicalize",
-    "certify",
-    "chain_count_dp",
-    "chain_count_naive",
-    "chain_lower_bound",
-    "check_hypotheses",
-    "collision_fingerprint",
-    "compare_scores",
-    "count_linked_quads",
-    "count_skew_collisions",
-    "digits_to_elem",
-    "dimension_report",
-    "elem_to_digits",
-    "enumerate_wedges",
-    "hausdorff_bound",
-    "is_difference_injective",
-    "linked_quad_problem",
-    "load_instance",
-    "min_base",
-    "minkowski_bound",
-    "novelty_threshold",
-    "pattern_stats",
-    "popular_filter",
-    "project",
-    "quad_fingerprint",
-    "random_chain_problem",
-    "random_instance",
-    "reconstruct_pair",
-    "reconstruct_quad",
-    "reduce_to_difference_injective",
-    "require_hypotheses",
-    "save_instance",
-    "search",
-    "skew_collision_problem",
-    "tensor_pattern",
-    "tensor_power",
-    "tensor_sizes",
-    "verify_four_slice_chain",
-    "verify_three_slice_chain",
-    "wedge_count",
-    "wolff_bound",
+    name
+    for module in (
+        chains, errors, groups, instances, kakeya, patterns, proofs, sampling,
+        _search_module,
+    )
+    for name in module.__all__
 ]

@@ -24,7 +24,13 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from .chains import chain_count_dp, chain_count_naive, chain_lower_bound
+from .chains import (
+    ChainProblem,
+    Labeling,
+    chain_count_dp,
+    chain_count_naive,
+    chain_lower_bound,
+)
 from .errors import (
     ArithprojError,
     EnumerationCapExceeded,
@@ -35,7 +41,7 @@ from .errors import (
     MalformedInstance,
     OutOfRange,
 )
-from .instances import SKEW_SUM, SUM, load_instance, project, save_instance
+from .instances import check_hypotheses, load_instance, save_instance
 from .kakeya import dimension_report
 from .patterns import (
     DigitPattern,
@@ -44,7 +50,7 @@ from .patterns import (
     min_base,
     tensor_pattern,
 )
-from .proofs import verify_four_slice_chain, verify_three_slice_chain
+from .proofs import DEFAULT_WEDGE_CAP, verify_four_slice_chain, verify_three_slice_chain
 from .sampling import random_chain_problem
 from .search import SearchSpec, certify, search
 
@@ -53,6 +59,12 @@ EXIT_FAILURE = 1
 EXIT_MALFORMED = 2
 EXIT_HYPOTHESIS = 3
 EXIT_CAPPED = 4
+
+# (--chain value, payload key, ladder)
+_LADDERS = (
+    ("6", "chain-6", verify_three_slice_chain),
+    ("4", "chain-4", verify_four_slice_chain),
+)
 
 
 def _fraction_text(encoded: dict) -> str:
@@ -129,64 +141,36 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         print(json.dumps(inst.to_json_dict(), indent=2, sort_keys=True))
         return EXIT_OK
     save_instance(inst, args.out)
-    summary = {
-        "out": args.out,
-        "A": len(inst.a_set),
-        "B": len(inst.b_set),
-        "G": len(inst.pairs),
-        "C": len(project(inst, SUM)),
-        "D": len(project(inst, SKEW_SUM)),
-    }
+    sizes = check_hypotheses(inst, 1, with_d=True).sizes
+    summary = {"out": args.out, "G": len(inst.pairs), **sizes}
     if pattern_pairs is not None:
         summary["pattern_pairs"] = pattern_pairs
     _emit(args.output, summary)
     return EXIT_OK
 
 
-def _auto_budget(inst, with_d: bool) -> int:
-    sizes = [len(inst.a_set), len(inst.b_set), len(project(inst, SUM))]
-    if with_d:
-        sizes.append(len(project(inst, SKEW_SUM)))
-    return max(sizes)
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
-    with_d = args.chain in ("4", "both")
+    ladders = [ladder for ladder in _LADDERS if args.chain in (ladder[0], "both")]
     if args.N == "auto":
-        budget = _auto_budget(inst, with_d)
+        with_d = args.chain in ("4", "both")
+        budget = max(check_hypotheses(inst, 1, with_d=with_d).sizes.values())
     else:
         budget = _int_option("--N", args.N)
         if budget < 1:
             raise MalformedInstance(f"budget must be >= 1, got {budget}")
-    cap = args.cap if args.cap is not None else 10**6
     payload: dict = {"budget": budget}
     rows: list[dict] = []
     all_hold = True
-    if args.chain in ("6", "both"):
-        report = verify_three_slice_chain(inst, budget, cap=cap)
-        payload["chain-6"] = report.to_json_dict()
+    for _, key, verify in ladders:
+        report = verify(inst, budget, cap=args.cap)
+        payload[key] = report.to_json_dict()
         all_hold = all_hold and report.all_hold
         for ineq in report.inequalities:
             enc = ineq.to_json_dict()
             rows.append(
                 {
-                    "chain": "chain-6",
-                    "inequality": ineq.name,
-                    "lhs": _fraction_text(enc["lhs"]),
-                    "rhs": _fraction_text(enc["rhs"]),
-                    "holds": ineq.holds,
-                }
-            )
-    if with_d:
-        report = verify_four_slice_chain(inst, budget, cap=cap)
-        payload["chain-4"] = report.to_json_dict()
-        all_hold = all_hold and report.all_hold
-        for ineq in report.inequalities:
-            enc = ineq.to_json_dict()
-            rows.append(
-                {
-                    "chain": "chain-4",
+                    "chain": key,
                     "inequality": ineq.name,
                     "lhs": _fraction_text(enc["lhs"]),
                     "rhs": _fraction_text(enc["rhs"]),
@@ -198,13 +182,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all_hold else EXIT_FAILURE
 
 
-def _lemma_case(seed: int, cap: int, index: int) -> dict:
-    rng = random.Random(seed * 1_000_003 + index)
-    problem = random_chain_problem(rng)
+def _lemma_counts(problem: ChainProblem, cap: int) -> tuple[int, Fraction, int | str]:
+    """DP chain count, its lower bound, and the naive recount or "skipped".
+
+    The naive recount runs only when #items**(steps+1) tuples fit in cap.
+    """
     count = chain_count_dp(problem)
     bound = chain_lower_bound(problem)
     tuples = len(problem.items) ** (problem.steps + 1)
-    naive = chain_count_naive(problem, cap=cap) if tuples <= cap else None
+    naive = chain_count_naive(problem, cap=cap) if tuples <= cap else "skipped"
+    return count, bound, naive
+
+
+def _lemma_case(seed: int, cap: int, index: int) -> dict:
+    rng = random.Random(seed * 1_000_003 + index)
+    problem = random_chain_problem(rng)
+    count, bound, naive = _lemma_counts(problem, cap)
     return {
         "index": index,
         "items": len(problem.items),
@@ -212,14 +205,12 @@ def _lemma_case(seed: int, cap: int, index: int) -> dict:
         "count": count,
         "bound_num": bound.numerator,
         "bound_den": bound.denominator,
-        "naive": "skipped" if naive is None else naive,
-        "ok": count >= bound and (naive is None or naive == count),
+        "naive": naive,
+        "ok": count >= bound and naive in ("skipped", count),
     }
 
 
-def _load_chain_problem(path: str):
-    from .chains import ChainProblem, Labeling
-
+def _load_chain_problem(path: str) -> ChainProblem:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     try:
@@ -243,26 +234,26 @@ def _load_chain_problem(path: str):
 
 
 def _cmd_lemma(args: argparse.Namespace) -> int:
-    cap = args.cap if args.cap is not None else 10**6
     if (args.problem_file is None) == (args.random is None):
         raise MalformedInstance("pass exactly one of FILE or --random COUNT")
+    if args.random is not None and args.random < 1:
+        raise MalformedInstance(f"--random must be >= 1, got {args.random}")
+    if args.workers < 1:
+        raise MalformedInstance(f"--workers must be >= 1, got {args.workers}")
     if args.problem_file is not None:
         problem = _load_chain_problem(args.problem_file)
-        count = chain_count_dp(problem)
-        bound = chain_lower_bound(problem)
-        tuples = len(problem.items) ** (problem.steps + 1)
-        naive = chain_count_naive(problem, cap=cap) if tuples <= cap else None
+        count, bound, naive = _lemma_counts(problem, args.cap)
         payload = {
             "items": len(problem.items),
             "steps": problem.steps,
             "count": count,
             "bound": {"num": bound.numerator, "den": bound.denominator},
-            "naive": "skipped" if naive is None else naive,
+            "naive": naive,
             "bound_holds": count >= bound,
         }
         _emit(args.output, payload)
         return EXIT_OK if payload["bound_holds"] else EXIT_FAILURE
-    worker = functools.partial(_lemma_case, args.seed, cap)
+    worker = functools.partial(_lemma_case, args.seed, args.cap)
     indices = range(args.random)
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -328,13 +319,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--output", choices=("json", "csv", "text"), default="json",
         help="stdout format (default json)",
     )
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    common.add_argument(
-        "--cap", type=int, default=None, help="enumeration cap override"
-    )
-    common.add_argument(
-        "--workers", type=int, default=1, help="parallel workers for batch jobs"
-    )
 
     parser = argparse.ArgumentParser(
         prog="arithproj",
@@ -357,11 +341,23 @@ def _build_parser() -> argparse.ArgumentParser:
         "--N", default="auto", help="shared budget, or 'auto' for max slice size"
     )
     p.add_argument("--chain", choices=("6", "4", "both"), default="both")
+    p.add_argument(
+        "--cap", type=int, default=DEFAULT_WEDGE_CAP,
+        help="largest wedge count to count through (default 10**6)",
+    )
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("lemma", parents=[common], help="chain counts vs lower bound")
     p.add_argument("problem_file", nargs="?", default=None, help="problem JSON path")
-    p.add_argument("--random", type=int, default=None, help="random batch size")
+    p.add_argument("--random", type=int, default=None, help="random batch size, >= 1")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument(
+        "--cap", type=int, default=10**6,
+        help="largest tuple count for the naive recount (default 10**6)",
+    )
+    p.add_argument(
+        "--workers", type=int, default=1, help="worker processes for --random, >= 1"
+    )
     p.set_defaults(func=_cmd_lemma)
 
     p = sub.add_parser("search", parents=[common], help="extremal pattern search")

@@ -26,6 +26,7 @@ __all__ = [
     "PatternStats",
     "build_example_one",
     "build_example_two",
+    "max_slice",
     "min_base",
     "pattern_stats",
     "tensor_pattern",
@@ -129,6 +130,14 @@ def min_base(pattern: DigitPattern) -> int:
     return max(2, 1 + needed)
 
 
+def max_slice(pattern: DigitPattern) -> int:
+    """Largest budgeted slice: A, B, C and, when the pattern tracks it, D."""
+    sizes = [len(pattern.x_alphabet), len(pattern.y_alphabet), len(pattern.sum_slice)]
+    if pattern.constrain_d:
+        sizes.append(len(pattern.skew_slice))
+    return max(sizes)
+
+
 @dataclass(frozen=True)
 class PatternStats:
     """Single-digit slice sizes and the growth exponent they certify."""
@@ -139,17 +148,11 @@ class PatternStats:
     sum_size: int
     skew_size: int
     difference_size: int
+    max_slice: int
     difference_injective: bool
     min_base: int
     constrain_d: bool
     exponent: float | None
-
-    @property
-    def max_slice(self) -> int:
-        sizes = [self.a_size, self.b_size, self.sum_size]
-        if self.constrain_d:
-            sizes.append(self.skew_size)
-        return max(sizes)
 
     def to_json_dict(self) -> dict:
         return {
@@ -176,13 +179,10 @@ def pattern_stats(pattern: DigitPattern) -> PatternStats:
     It is only defined when the pattern is difference-injective and some
     slice has at least two values.
     """
-    sizes = [len(pattern.x_alphabet), len(pattern.y_alphabet), len(pattern.sum_slice)]
-    if pattern.constrain_d:
-        sizes.append(len(pattern.skew_slice))
-    max_slice = max(sizes)
+    largest = max_slice(pattern)
     exponent = None
-    if pattern.difference_injective and max_slice >= 2:
-        exponent = math.log(len(pattern.pairs)) / math.log(max_slice)
+    if pattern.difference_injective and largest >= 2:
+        exponent = math.log(len(pattern.pairs)) / math.log(largest)
     return PatternStats(
         pair_count=len(pattern.pairs),
         a_size=len(pattern.x_alphabet),
@@ -190,6 +190,7 @@ def pattern_stats(pattern: DigitPattern) -> PatternStats:
         sum_size=len(pattern.sum_slice),
         skew_size=len(pattern.skew_slice),
         difference_size=len(pattern.difference_slice),
+        max_slice=largest,
         difference_injective=pattern.difference_injective,
         min_base=min_base(pattern),
         constrain_d=pattern.constrain_d,

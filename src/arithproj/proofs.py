@@ -45,7 +45,6 @@ from .instances import (
     SKEW_SUM,
     SUM,
     Instance,
-    is_difference_injective,
     project,
     reduce_to_difference_injective,
     require_hypotheses,
@@ -344,12 +343,11 @@ def verify_three_slice_chain(
     against the actual ambient label sizes, which is sharper.
     """
     reduced = reduce_to_difference_injective(inst)
-    require_hypotheses(reduced, budget, with_d=False)
+    sizes = require_hypotheses(reduced, budget, with_d=False).sizes
     relation = len(reduced.pairs)
     wedges = wedge_count(reduced)
     quads = count_linked_quads(reduced, cap=cap)
-    c_size = len(project(reduced, SUM))
-    b_size = len(reduced.b_set)
+    c_size, b_size = sizes["C"], sizes["B"]
     n = budget
     inequalities = (
         Inequality("wedge-count-lower", Fraction(relation**2, n), Fraction(wedges)),
@@ -384,12 +382,11 @@ def verify_four_slice_chain(
     Requires #A, #B, #C, #D <= budget on the reduced instance.
     """
     reduced = reduce_to_difference_injective(inst)
-    require_hypotheses(reduced, budget, with_d=True)
+    sizes = require_hypotheses(reduced, budget, with_d=True).sizes
     relation = len(reduced.pairs)
     wedges = wedge_count(reduced)
     collisions = count_skew_collisions(reduced, cap=cap)
-    d_size = len(project(reduced, SKEW_SUM))
-    b_size = len(reduced.b_set)
+    d_size, b_size = sizes["D"], sizes["B"]
     n = budget
     inequalities = (
         Inequality(

@@ -26,7 +26,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .patterns import DigitPattern, pattern_stats, tensor_pattern, tensor_sizes
+from .errors import ArithprojError
+from .patterns import DigitPattern, max_slice, pattern_stats, tensor_pattern, tensor_sizes
 
 __all__ = [
     "CertificationReport",
@@ -109,8 +110,14 @@ def compare_scores(count1: int, slice1: int, count2: int, slice2: int) -> int:
     """Sign of ln(count1)/ln(slice1) - ln(count2)/ln(slice2), exactly.
 
     counts >= 1, slices >= 2.  Floats only propose separating rationals;
-    every verdict is confirmed with integer power comparisons.
+    every verdict is confirmed with integer power comparisons.  Raises
+    ArithprojError when no rational of denominator up to 32768 separates
+    two distinct irrational ratios.
     """
+    if slice1 == slice2:
+        return (count1 > count2) - (count1 < count2)
+    if count1 == count2 and count1 > 1:
+        return (slice2 > slice1) - (slice2 < slice1)
     frac1 = _ratio_as_fraction(count1, slice1)
     frac2 = _ratio_as_fraction(count2, slice2)
     if frac1 is not None and frac2 is not None:
@@ -130,7 +137,7 @@ def compare_scores(count1: int, slice1: int, count2: int, slice2: int) -> int:
         side2 = _cmp_ratio_to_fraction(count2, slice2, cand)
         if side1 != side2 and side1 != 0 and side2 != 0:
             return 1 if side1 > 0 else -1
-    raise RuntimeError(
+    raise ArithprojError(
         f"could not separate log ratios ({count1},{slice1}) vs ({count2},{slice2})"
     )
 
@@ -195,18 +202,6 @@ class _Budget:
         return True
 
 
-def _max_slice(pattern: DigitPattern) -> int:
-    """Largest scored slice: A, B, C and, when constrained, D."""
-    sizes = [
-        len(pattern.x_alphabet),
-        len(pattern.y_alphabet),
-        len(pattern.sum_slice),
-    ]
-    if pattern.constrain_d:
-        sizes.append(len(pattern.skew_slice))
-    return max(sizes)
-
-
 class _Incumbent:
     """Tracks the best (#differences, max slice) score and all canonical ties."""
 
@@ -220,7 +215,7 @@ class _Incumbent:
         if pattern.pairs in self.seen:
             return
         self.seen.add(pattern.pairs)
-        slice_size = _max_slice(pattern)
+        slice_size = max_slice(pattern)
         if slice_size < 2:
             return
         score = (len(pattern.difference_slice), slice_size)
@@ -275,7 +270,7 @@ def search(spec: SearchSpec) -> SearchResult:
                 )
             return
         if prune and chosen and incumbent.best is not None:
-            slice_size = _max_slice(
+            slice_size = max_slice(
                 DigitPattern(tuple(chosen), constrain_d=spec.constrain_d)
             )
             # prune only strictly dominated subtrees: slices are monotone

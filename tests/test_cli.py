@@ -131,6 +131,20 @@ def test_verify_explicit_budget_violation(tmp_path, capsys):
     assert "hypotheses" in err
 
 
+def test_verify_wedge_cap(tmp_path, capsys):
+    out = tmp_path / "inst.json"
+    assert main(["construct", "example1", "--n", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    # 6**2 pairs, each left element with 4 partners: 9 * 4**2 = 144 wedges
+    code, stdout, err = run(capsys, ["verify", str(out), "--cap", "143"])
+    assert code == 4
+    assert stdout == ""
+    assert err.startswith("error:") and "144 wedges" in err
+    code, stdout, _ = run(capsys, ["verify", str(out), "--cap", "144"])
+    assert code == 0
+    assert json.loads(stdout)["all_hold"] is True
+
+
 def test_verify_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("not json at all")
@@ -165,6 +179,12 @@ def test_lemma_problem_file(tmp_path, capsys):
     assert payload["naive"] == 5
     assert payload["bound"] == {"num": 9, "den": 2}
     assert payload["bound_holds"] is True
+    # 3**2 = 9 tuples exceed a naive cap of 8
+    code, stdout, _ = run(capsys, ["lemma", str(path), "--cap", "8"])
+    assert code == 0
+    payload = json.loads(stdout)
+    assert payload["count"] == 5
+    assert payload["naive"] == "skipped"
 
 
 def test_lemma_requires_exactly_one_source(capsys):
@@ -172,6 +192,15 @@ def test_lemma_requires_exactly_one_source(capsys):
     assert code == 2
     code, _, _ = run(capsys, ["lemma", "file.json", "--random", "3"])
     assert code == 2
+    for argv in (
+        ["lemma", "--random", "0"],
+        ["lemma", "--random", "-5"],
+        ["lemma", "--random", "3", "--workers", "0"],
+    ):
+        code, stdout, err = run(capsys, argv)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error:")
 
 
 def test_lemma_random_batch_deterministic(capsys):
@@ -266,4 +295,18 @@ def test_text_output_mode(capsys):
 def test_unknown_subcommand_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "example1", "--n", "1", "--cap", "5"],
+        ["search", "--K", "2", "--seed", "1"],
+        ["dimensions", "--workers", "2"],
+    ],
+)
+def test_options_only_where_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
     assert exc.value.code == 2

@@ -5,11 +5,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
 import frozen
+from arithproj.errors import ArithprojError
 from arithproj.patterns import (
     EXAMPLE_ONE_PATTERN,
     EXAMPLE_TWO_PATTERN,
@@ -103,6 +103,12 @@ def test_compare_scores_big_integers():
     assert compare_scores(6**500, 3**500, 36, 9) == 0
     q, r = 10**160 + 7, 10**170 + 3
     assert compare_scores(q * q, r * r, q, r) == 0
+    # equal slices compare by count, equal counts by the smaller slice
+    assert compare_scores(2**60 + 1, 2, 2**60 + 3, 2) == -1
+    assert compare_scores(5, 2**60 + 1, 5, 2**60 + 3) == 1
+    # log2(2**60 + 1) and log2(2**60 + 3) differ by less than 1e-17
+    with pytest.raises(ArithprojError):
+        compare_scores(2**60 + 1, 2, (2**60 + 3) ** 2, 4)
 
 
 def test_compare_scores_agrees_with_floats():
