@@ -43,13 +43,7 @@ from .errors import (
 )
 from .instances import check_hypotheses, load_instance, save_instance
 from .kakeya import dimension_report
-from .patterns import (
-    DigitPattern,
-    build_example_one,
-    build_example_two,
-    min_base,
-    tensor_pattern,
-)
+from .patterns import EXAMPLE_ONE_PATTERN, EXAMPLE_TWO_PATTERN, DigitPattern, tensor_pattern
 from .proofs import DEFAULT_WEDGE_CAP, verify_four_slice_chain, verify_three_slice_chain
 from .sampling import random_chain_problem
 from .search import SearchSpec, certify, search
@@ -118,12 +112,11 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         base = None
     else:
         base = _int_option("--base", args.base)
+    pattern_pairs = None
     if args.which == "example1":
-        inst = build_example_one(args.n, base=7 if base is None else base)
-        pattern_pairs = None
+        pattern = EXAMPLE_ONE_PATTERN
     elif args.which == "example2":
-        inst = build_example_two(args.n, base=9 if base is None else base)
-        pattern_pairs = None
+        pattern = EXAMPLE_TWO_PATTERN
     else:
         if args.pattern_file is None:
             raise MalformedInstance("pattern-file construction needs --pattern-file")
@@ -133,10 +126,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             pattern = DigitPattern.from_json_dict(doc)
         except (TypeError, ValueError) as exc:
             raise MalformedInstance(f"bad pattern file: {exc}") from exc
-        inst = tensor_pattern(
-            pattern, args.n, base=min_base(pattern) if base is None else base
-        )
         pattern_pairs = len(pattern.pairs)
+    inst = tensor_pattern(pattern, args.n, base=base)
     if args.out is None:
         print(json.dumps(inst.to_json_dict(), indent=2, sort_keys=True))
         return EXIT_OK

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from .errors import InstanceTooLarge, InvalidBase
@@ -130,11 +131,15 @@ def min_base(pattern: DigitPattern) -> int:
     return max(2, 1 + needed)
 
 
-def max_slice(pattern: DigitPattern) -> int:
-    """Largest budgeted slice: A, B, C and, when the pattern tracks it, D."""
-    sizes = [len(pattern.x_alphabet), len(pattern.y_alphabet), len(pattern.sum_slice)]
-    if pattern.constrain_d:
-        sizes.append(len(pattern.skew_slice))
+def max_slice(pairs: Collection[tuple[int, int]], constrain_d: bool = False) -> int:
+    """Largest budgeted slice of the pairs: A, B, C and, when constrain_d, D."""
+    sizes = [
+        len({x for x, _ in pairs}),
+        len({y for _, y in pairs}),
+        len({x + y for x, y in pairs}),
+    ]
+    if constrain_d:
+        sizes.append(len({x + 2 * y for x, y in pairs}))
     return max(sizes)
 
 
@@ -179,7 +184,7 @@ def pattern_stats(pattern: DigitPattern) -> PatternStats:
     It is only defined when the pattern is difference-injective and some
     slice has at least two values.
     """
-    largest = max_slice(pattern)
+    largest = max_slice(pattern.pairs, pattern.constrain_d)
     exponent = None
     if pattern.difference_injective and largest >= 2:
         exponent = math.log(len(pattern.pairs)) / math.log(largest)
@@ -260,23 +265,24 @@ def tensor_pattern(
     return Instance(group=group, a_set=a_set, b_set=b_set, pairs=pairs)
 
 
-def build_example_one(length: int, base: int = 7, pair_cap: int = DEFAULT_PAIR_CAP) -> Instance:
+def build_example_one(
+    length: int, base: int | None = None, pair_cap: int = DEFAULT_PAIR_CAP
+) -> Instance:
     """Digits from {0, 1, 3} on both sides, paired exactly when they differ.
 
     Per digit: 6 pairs, all slices of size 3, six distinct differences.
-    Needs base >= 7 so the difference window (width 6) decodes uniquely.
+    The base defaults to min_base, 7: the difference window (width 6) must
+    decode uniquely.
     """
-    if base < 7:
-        raise InvalidBase(f"the first construction needs base >= 7, got {base}")
     return tensor_pattern(EXAMPLE_ONE_PATTERN, length, base=base, pair_cap=pair_cap)
 
 
-def build_example_two(length: int, base: int = 9, pair_cap: int = DEFAULT_PAIR_CAP) -> Instance:
+def build_example_two(
+    length: int, base: int | None = None, pair_cap: int = DEFAULT_PAIR_CAP
+) -> Instance:
     """Eight fixed digit pairs with all four slices of size 4 per digit.
 
     The skew slice {x + 2y} is tracked, so carries must also be avoided
-    there: base >= 9.
+    there: the base defaults to min_base, 9.
     """
-    if base < 9:
-        raise InvalidBase(f"the second construction needs base >= 9, got {base}")
     return tensor_pattern(EXAMPLE_TWO_PATTERN, length, base=base, pair_cap=pair_cap)

@@ -6,18 +6,21 @@ growth exponent ln(#differences) / ln(max slice size); for difference-injective
 patterns #differences equals #pairs.  The slices are A, B, C and, when the
 skew slice is constrained, D.  Translations of either axis and the joint
 reflection (x, y) -> (max - x, max - y) preserve every slice size, so the
-search scores one representative per symmetry class.
+search keeps one representative per symmetry class.
 
 One depth-first walk covers both spaces.  It visits a list of choice groups
 and, at each group, first skips it and then tries each of its cells in turn.
 A group is a diagonal x - y = d in the difference-injective space and a
 single cell (in x-major order) otherwise.  Branch-and-bound mode prunes a
 subtree only when even one more pair per remaining group could not reach
-the incumbent's score.
+the incumbent's score.  Leaves are scored from the raw chosen cells; only
+a leaf that ties or beats the incumbent is built as a pattern and
+canonicalized.
 
-Score comparisons are decided exactly: log ratios of integers are either
-equal as recognized by primitive-power reduction, or separated by a rational
-u/v whose position is checked through integer powers (count**v vs slice**u).
+Score comparisons are decided exactly by the root rule of compare_scores:
+log ratios whose numbers share primitive roots compare through one integer
+power comparison, and any other pair is separated by a rational u/v whose
+position is checked through integer powers (count**v vs slice**u).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArithprojError
+from .instances import DIFFERENCE, check_hypotheses, project
 from .patterns import DigitPattern, max_slice, pattern_stats, tensor_pattern, tensor_sizes
 
 __all__ = [
@@ -81,62 +85,51 @@ def _primitive_power(n: int) -> tuple[int, int]:
     return n, 1
 
 
-def _ratio_as_fraction(count: int, slice_size: int) -> Fraction | None:
-    """ln(count)/ln(slice_size) as an exact rational, or None if irrational."""
-    if count == 1:
-        return Fraction(0)
-    root_c, exp_c = _primitive_power(count)
-    root_s, exp_s = _primitive_power(slice_size)
-    if root_c == root_s:
-        return Fraction(exp_c, exp_s)
-    return None
-
-
-def _cmp_ratio_to_fraction(count: int, slice_size: int, frac: Fraction) -> int:
-    """Sign of ln(count)/ln(slice_size) - frac, via integer powers."""
-    lhs = count**frac.denominator
-    rhs = slice_size**frac.numerator
+def _cmp_powers(base1: int, exp1: int, base2: int, exp2: int) -> int:
+    """Sign of base1**exp1 - base2**exp2, both exponents divided by their gcd."""
+    g = math.gcd(exp1, exp2)
+    lhs, rhs = base1 ** (exp1 // g), base2 ** (exp2 // g)
     return (lhs > rhs) - (lhs < rhs)
-
-
-def _reduced_pair(count: int, slice_size: int) -> tuple[int, int]:
-    root_c, exp_c = _primitive_power(count)
-    root_s, exp_s = _primitive_power(slice_size)
-    g = math.gcd(exp_c, exp_s)
-    return root_c ** (exp_c // g), root_s ** (exp_s // g)
 
 
 def compare_scores(count1: int, slice1: int, count2: int, slice2: int) -> int:
     """Sign of ln(count1)/ln(slice1) - ln(count2)/ln(slice2), exactly.
 
-    counts >= 1, slices >= 2.  Floats only propose separating rationals;
-    every verdict is confirmed with integer power comparisons.  Raises
+    counts >= 1, slices >= 2.  Root rule: each number is written once as its
+    primitive power r**k, a count of 1 as r**0 over its slice's root.  A
+    count and slice with one root have the rational ratio k_count/k_slice.
+    Slices with one root decide by count1**k_slice2 vs count2**k_slice1, and
+    counts with one root by slice2**k_count1 vs slice1**k_count2.  In the
+    remaining cases floats only propose separating rationals u/v and every
+    verdict is confirmed with integer powers (count**v vs slice**u).  Raises
     ArithprojError when no rational of denominator up to 32768 separates
     two distinct irrational ratios.
     """
-    if slice1 == slice2:
-        return (count1 > count2) - (count1 < count2)
-    if count1 == count2 and count1 > 1:
-        return (slice2 > slice1) - (slice2 < slice1)
-    frac1 = _ratio_as_fraction(count1, slice1)
-    frac2 = _ratio_as_fraction(count2, slice2)
+    root_s1, exp_s1 = _primitive_power(slice1)
+    root_s2, exp_s2 = _primitive_power(slice2)
+    if root_s1 == root_s2:
+        return _cmp_powers(count1, exp_s2, count2, exp_s1)
+    root_c1, exp_c1 = (root_s1, 0) if count1 == 1 else _primitive_power(count1)
+    root_c2, exp_c2 = (root_s2, 0) if count2 == 1 else _primitive_power(count2)
+    if root_c1 == root_c2:
+        return _cmp_powers(slice2, exp_c1, slice1, exp_c2)
+    frac1 = Fraction(exp_c1, exp_s1) if root_c1 == root_s1 else None
+    frac2 = Fraction(exp_c2, exp_s2) if root_c2 == root_s2 else None
     if frac1 is not None and frac2 is not None:
         return (frac1 > frac2) - (frac1 < frac2)
     if frac1 is not None:
-        return -_cmp_ratio_to_fraction(count2, slice2, frac1)
+        return -_cmp_powers(count2, frac1.denominator, slice2, frac1.numerator)
     if frac2 is not None:
-        return _cmp_ratio_to_fraction(count1, slice1, frac2)
-    if _reduced_pair(count1, slice1) == _reduced_pair(count2, slice2):
-        return 0
+        return _cmp_powers(count1, frac2.denominator, slice1, frac2.numerator)
     midpoint = (
         math.log(count1) / math.log(slice1) + math.log(count2) / math.log(slice2)
     ) / 2
     for limit in (8, 64, 512, 4096, 32768):
         cand = Fraction(midpoint).limit_denominator(limit)
-        side1 = _cmp_ratio_to_fraction(count1, slice1, cand)
-        side2 = _cmp_ratio_to_fraction(count2, slice2, cand)
-        if side1 != side2 and side1 != 0 and side2 != 0:
-            return 1 if side1 > 0 else -1
+        side1 = _cmp_powers(count1, cand.denominator, slice1, cand.numerator)
+        side2 = _cmp_powers(count2, cand.denominator, slice2, cand.numerator)
+        if side1 != side2:  # never 0: both ratios are irrational here
+            return side1
     raise ArithprojError(
         f"could not separate log ratios ({count1},{slice1}) vs ({count2},{slice2})"
     )
@@ -185,60 +178,9 @@ class SearchResult:
         }
 
 
-class _Budget:
-    def __init__(self, node_budget: int | None) -> None:
-        self.node_budget = node_budget
-        self.nodes = 0
-        self.exhausted = False
-
-    def spend_node(self) -> bool:
-        """Account one node; False once the budget is gone."""
-        if self.exhausted:
-            return False
-        self.nodes += 1
-        if self.node_budget is not None and self.nodes > self.node_budget:
-            self.exhausted = True
-            return False
-        return True
-
-
-class _Incumbent:
-    """Tracks the best (#differences, max slice) score and all canonical ties."""
-
-    def __init__(self) -> None:
-        self.best: tuple[int, int] | None = None
-        self.ties: list[DigitPattern] = []
-        self.seen: set[tuple[tuple[int, int], ...]] = set()
-
-    def offer(self, pattern: DigitPattern) -> None:
-        pattern = canonicalize(pattern)
-        if pattern.pairs in self.seen:
-            return
-        self.seen.add(pattern.pairs)
-        slice_size = max_slice(pattern)
-        if slice_size < 2:
-            return
-        score = (len(pattern.difference_slice), slice_size)
-        if self.best is None:
-            self.best = score
-            self.ties = [pattern]
-            return
-        verdict = compare_scores(*score, *self.best)
-        if verdict > 0:
-            self.best = score
-            self.ties = [pattern]
-        elif verdict == 0:
-            self.ties.append(pattern)
-
-    def result(self, exhaustive: bool, nodes: int, witness_cap: int) -> SearchResult:
-        if self.best is None:
-            return SearchResult(0.0, (), exhaustive, nodes)
-        count, slice_size = self.best
-        exponent = math.log(count) / math.log(slice_size) if count > 1 else 0.0
-        witnesses = tuple(
-            sorted(self.ties, key=lambda p: (len(p.pairs), p.pairs))[:witness_cap]
-        )
-        return SearchResult(exponent, witnesses, exhaustive, nodes)
+def _exponent(count: int, slice_size: int) -> float:
+    """The displayed score ln(count) / ln(slice_size)."""
+    return math.log(count) / math.log(slice_size) if count > 1 else 0.0
 
 
 def search(spec: SearchSpec) -> SearchResult:
@@ -255,44 +197,63 @@ def search(spec: SearchSpec) -> SearchResult:
         ]
     else:
         groups = [[(x, y)] for x in range(k + 1) for y in range(k + 1)]
-    incumbent = _Incumbent()
-    budget = _Budget(spec.node_budget)
     prune = spec.mode == "branch-bound"
     chosen: list[tuple[int, int]] = []
+    nodes = 0
+    exhausted = False
+    best: tuple[int, int] | None = None  # (#differences, max slice)
+    ties: dict[tuple[tuple[int, int], ...], DigitPattern] = {}  # by canonical pairs
 
     def descend(index: int) -> None:
-        if not budget.spend_node():
+        nonlocal nodes, exhausted, best, ties
+        if exhausted:
+            return
+        nodes += 1
+        if spec.node_budget is not None and nodes > spec.node_budget:
+            exhausted = True
             return
         if index == len(groups):
-            if chosen:
-                incumbent.offer(
-                    DigitPattern(tuple(chosen), constrain_d=spec.constrain_d)
-                )
+            slice_size = max_slice(chosen, spec.constrain_d)
+            if slice_size < 2:
+                return
+            score = (len({x - y for x, y in chosen}), slice_size)
+            verdict = 1 if best is None else compare_scores(*score, *best)
+            if verdict < 0:
+                return
+            # only ties and new bests are canonicalized: scores are
+            # symmetry-invariant and best only rises, so a class that lost
+            # once can never tie later
+            pattern = canonicalize(DigitPattern(tuple(chosen), spec.constrain_d))
+            if verdict > 0:
+                best, ties = score, {}
+            ties.setdefault(pattern.pairs, pattern)
             return
-        if prune and chosen and incumbent.best is not None:
-            slice_size = max_slice(
-                DigitPattern(tuple(chosen), constrain_d=spec.constrain_d)
-            )
+        if prune and chosen and best is not None:
+            slice_size = max_slice(chosen, spec.constrain_d)
             # prune only strictly dominated subtrees: slices are monotone
             # under adding cells, so a tie here may still hide a witness
             if (
                 slice_size >= 2
-                and compare_scores(
-                    len(chosen) + len(groups) - index, slice_size, *incumbent.best
-                )
+                and compare_scores(len(chosen) + len(groups) - index, slice_size, *best)
                 < 0
             ):
                 return
         descend(index + 1)
         for cell in groups[index]:
-            if budget.exhausted:
+            if exhausted:
                 return
             chosen.append(cell)
             descend(index + 1)
             chosen.pop()
 
     descend(0)
-    return incumbent.result(not budget.exhausted, budget.nodes, spec.witness_cap)
+    witnesses = sorted(ties.values(), key=lambda p: (len(p.pairs), p.pairs))
+    return SearchResult(
+        0.0 if best is None else _exponent(*best),
+        tuple(witnesses[: spec.witness_cap]),
+        not exhausted,
+        nodes,
+    )
 
 
 @dataclass(frozen=True)
@@ -331,21 +292,17 @@ def certify(result: SearchResult, spec: SearchSpec) -> CertificationReport:
         if stats.max_slice < 2:
             diagnostics.append(f"{tag}: degenerate slices cannot score")
             continue
-        exponent = math.log(stats.difference_size) / math.log(stats.max_slice)
+        exponent = _exponent(stats.difference_size, stats.max_slice)
         if abs(exponent - result.best_exponent) > 1e-9:
             diagnostics.append(
                 f"{tag}: exponent mismatch ({exponent!r} vs {result.best_exponent!r})"
             )
         inst = tensor_pattern(pattern, 2, base=stats.min_base)
         measured = {
-            "A": len(inst.a_set),
-            "B": len(inst.b_set),
-            "C": len({u + v for u, v in inst.pairs}),
+            **check_hypotheses(inst, 1, with_d=spec.constrain_d).sizes,
             "G": len(inst.pairs),
-            "differences": len({u - v for u, v in inst.pairs}),
+            "differences": len(project(inst, DIFFERENCE)),
         }
-        if spec.constrain_d:
-            measured["D"] = len({u + 2 * v for u, v in inst.pairs})
         expected = tensor_sizes(pattern, 2)
         if measured != expected:
             diagnostics.append(

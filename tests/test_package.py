@@ -1,11 +1,16 @@
-"""The package namespace is exactly the union of the modules' ``__all__``."""
+"""The package namespace is exactly the union of the modules' ``__all__``,
+and no module imports a name it never uses."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 from fractions import Fraction
+from pathlib import Path
 
 import arithproj
+
+ROOT = Path(__file__).resolve().parent.parent
 
 MODULES = (
     "chains",
@@ -37,3 +42,44 @@ def test_ladder_exponents_exported():
         Fraction(11, 6),
         Fraction(7, 4),
     )
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Imported names never read in the module, outside ``__all__`` and noqa lines."""
+    source = path.read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported: dict[str, int] = {}
+    exported: set[str] = set()
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    return [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for name, line in sorted(imported.items(), key=lambda item: item[1])
+        if name not in used and name not in exported
+    ]
+
+
+def test_no_unused_imports():
+    paths = [
+        path
+        for folder in ("src/arithproj", "tests", "demos")
+        for path in sorted((ROOT / folder).glob("*.py"))
+        if path.name != "__init__.py"
+    ]
+    assert paths
+    unused = [entry for path in paths for entry in _unused_imports(path)]
+    assert unused == []

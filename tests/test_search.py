@@ -106,9 +106,13 @@ def test_compare_scores_big_integers():
     # equal slices compare by count, equal counts by the smaller slice
     assert compare_scores(2**60 + 1, 2, 2**60 + 3, 2) == -1
     assert compare_scores(5, 2**60 + 1, 5, 2**60 + 3) == 1
-    # log2(2**60 + 1) and log2(2**60 + 3) differ by less than 1e-17
+    # log2(2**60 + 1) and log2(2**60 + 3) differ by less than 1e-17, but the
+    # slices share the root 2 and the counts share the root 2 respectively
+    assert compare_scores(2**60 + 1, 2, (2**60 + 3) ** 2, 4) == -1
+    assert compare_scores(2, 2**60 + 1, 4, (2**60 + 3) ** 2) == 1
+    # no shared root and log ratios closer than floats resolve: refused
     with pytest.raises(ArithprojError):
-        compare_scores(2**60 + 1, 2, (2**60 + 3) ** 2, 4)
+        compare_scores(2**60 + 1, 2, 3**60 + 1, 3)
 
 
 def test_compare_scores_agrees_with_floats():
@@ -240,6 +244,16 @@ def test_node_budget_flags_result():
     result = search(SearchSpec(alphabet_max=3, node_budget=50))
     assert not result.exhaustive
     assert result.nodes_explored <= 51
+    # a cut run counts the node that hit the budget, and keeps its incumbent
+    assert result.nodes_explored == 51
+    assert result.best_exponent == math.log(3) / math.log(2)
+    assert [w.pairs for w in result.witnesses] == [((0, 0), (0, 1), (1, 0))]
+
+    result = search(SearchSpec(alphabet_max=5, mode="branch-bound", node_budget=20000))
+    assert not result.exhaustive
+    assert result.nodes_explored == 20001
+    assert result.best_exponent == math.log(6) / math.log(3)
+    assert {w.pairs for w in result.witnesses} == frozen.K3_WITNESSES
 
 
 def test_all_subsets_mode_matches_brute_force():
