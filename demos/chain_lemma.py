@@ -3,8 +3,9 @@
 A chain problem is a finite item set walked through k labeling steps; a
 chain is a (k+1)-tuple of items where consecutive entries share a label
 at that step. The dynamic-programming count is exact, the naive count
-enumerates tuples directly, and the lemma guarantees the count is at
-least (#items)^(k+1) divided by the product of the label-set sizes.
+grows chains item by item and tests every extension directly, and the
+lemma guarantees the count is at least (#items)^(k+1) divided by the
+product of the label-set sizes.
 """
 
 import random

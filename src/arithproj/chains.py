@@ -6,6 +6,12 @@ with f_i(x_{i-1}) = f_i(x_i) for 1 <= i <= n.  The number of chains is at
 least (#X)^(n+1) / prod(#A_i): each step conditions on a label collision,
 and averaging over fibers loses at most a factor #A_i per step.
 
+Two counts are kept apart on purpose.  chain_count_dp aggregates weights
+over label fibers.  chain_count_naive is the oracle: it grows chains one
+position at a time, tests the defining label equality for every candidate
+extension, and adds 1 per complete chain, so it shares no fiber sums,
+grouping or weights with the DP.
+
 Counts are exact arbitrary-width integers throughout.
 """
 
@@ -77,21 +83,45 @@ class ChainProblem:
 
 
 def chain_count_naive(problem: ChainProblem, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
-    """Count chains by direct enumeration of all (n+1)-tuples.
+    """Count chains by a prefix-pruned walk over (n+1)-tuples.
 
-    This is the oracle: it checks the defining condition on every tuple and
-    shares no machinery with the fiber-aggregation count.
+    This is the oracle.  Position j scans every item y and keeps it only if
+    f_j(x_{j-1}) == f_j(y); a prefix that breaks the equality is never
+    extended, and each complete chain adds 1.  It uses no fiber sums, no
+    label-to-items grouping and no weights, so it shares no machinery with
+    chain_count_dp.  The walk is iterative: besides a by-index copy of the
+    labels, it holds one cursor per position, so no step count can overflow
+    the call stack.  ``cap`` bounds the #X**(n+1) tuples the walk ranges
+    over and is checked before any work.
     """
     width = problem.steps + 1
-    if len(problem.items) ** width > cap:
-        raise EnumerationCapExceeded(
-            f"{len(problem.items)}**{width} tuples exceed cap {cap}"
-        )
-    maps = [lab.assignment for lab in problem.labelings]
+    n = len(problem.items)
+    if n**width > cap:
+        raise EnumerationCapExceeded(f"{n}**{width} tuples exceed cap {cap}")
+    # labels[i][y] is f_{i+1} of the y-th item
+    labels = [[lab.assignment[x] for x in problem.items] for lab in problem.labelings]
     count = 0
-    for tup in itertools.product(problem.items, repeat=width):
-        if all(maps[i][tup[i]] == maps[i][tup[i + 1]] for i in range(len(maps))):
+    path: list[int] = []  # item indices of the prefix x_0 .. x_{j-1}
+    cursor = [0]  # cursor[j]: the next item index to try at position j
+    while cursor:
+        j = len(path)
+        y = cursor[-1]
+        if j:
+            row = labels[j - 1]
+            target = row[path[-1]]
+            while y < n and row[y] != target:
+                y += 1
+        if y >= n:
+            cursor.pop()
+            if path:
+                path.pop()
+            continue
+        cursor[-1] = y + 1
+        if j == width - 1:
             count += 1
+        else:
+            path.append(y)
+            cursor.append(0)
     return count
 
 

@@ -17,11 +17,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .chains import (
@@ -229,8 +227,6 @@ def _cmd_lemma(args: argparse.Namespace) -> int:
         raise MalformedInstance("pass exactly one of FILE or --random COUNT")
     if args.random is not None and args.random < 1:
         raise MalformedInstance(f"--random must be >= 1, got {args.random}")
-    if args.workers < 1:
-        raise MalformedInstance(f"--workers must be >= 1, got {args.workers}")
     if args.problem_file is not None:
         problem = _load_chain_problem(args.problem_file)
         count, bound, naive = _lemma_counts(problem, args.cap)
@@ -244,13 +240,7 @@ def _cmd_lemma(args: argparse.Namespace) -> int:
         }
         _emit(args.output, payload)
         return EXIT_OK if payload["bound_holds"] else EXIT_FAILURE
-    worker = functools.partial(_lemma_case, args.seed, args.cap)
-    indices = range(args.random)
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            cases = list(pool.map(worker, indices))
-    else:
-        cases = [worker(i) for i in indices]
+    cases = [_lemma_case(args.seed, args.cap, i) for i in range(args.random)]
     all_ok = all(case["ok"] for case in cases)
     payload = {"count": len(cases), "all_ok": all_ok, "cases": cases}
     _emit(args.output, payload, cases)
@@ -345,9 +335,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cap", type=int, default=10**6,
         help="largest tuple count for the naive recount (default 10**6)",
-    )
-    p.add_argument(
-        "--workers", type=int, default=1, help="worker processes for --random, >= 1"
     )
     p.set_defaults(func=_cmd_lemma)
 

@@ -25,6 +25,7 @@ position is checked through integer powers (count**v vs slice**u).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,13 +77,32 @@ def _integer_root(n: int, k: int) -> int:
         x = y
 
 
+@functools.lru_cache(maxsize=None)
+def _primes_below(limit: int) -> tuple[int, ...]:
+    """The primes p < limit, by a sieve."""
+    sieve = bytearray([1]) * max(limit, 2)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(len(sieve) - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(sieve[p * p :: p]))
+    return tuple(p for p in range(limit) if sieve[p])
+
+
 def _primitive_power(n: int) -> tuple[int, int]:
-    """Smallest root r >= 2 and largest k >= 1 with r**k == n, for n >= 2."""
-    for k in range(n.bit_length() - 1, 1, -1):
-        r = _integer_root(n, k)
-        if r**k == n:
-            return r, k
-    return n, 1
+    """Smallest root r >= 2 and largest k >= 1 with r**k == n, for n >= 2.
+
+    Only prime exponents p <= bit_length - 1 are tried, in increasing
+    order, each taken off for as long as it divides out.  After prime q is
+    done the root is no q-th power, so no smaller prime is needed again.
+    """
+    k = 1
+    for p in _primes_below(n.bit_length()):
+        while p < n.bit_length():
+            r = _integer_root(n, p)
+            if r**p != n:
+                break
+            n, k = r, k * p
+    return n, k
 
 
 def _cmp_powers(base1: int, exp1: int, base2: int, exp2: int) -> int:
@@ -164,10 +184,17 @@ class SearchSpec:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """The incumbent of a walk.
+
+    ``best_score`` is the exact (#differences, max slice) pair behind the
+    displayed ``best_exponent``, or None when no pattern scored.
+    """
+
     best_exponent: float
     witnesses: tuple[DigitPattern, ...]
     exhaustive: bool
     nodes_explored: int
+    best_score: tuple[int, int] | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -253,6 +280,7 @@ def search(spec: SearchSpec) -> SearchResult:
         tuple(witnesses[: spec.witness_cap]),
         not exhausted,
         nodes,
+        best,
     )
 
 
@@ -270,10 +298,19 @@ def certify(result: SearchResult, spec: SearchSpec) -> CertificationReport:
 
     Witnesses must be canonical, inside the alphabet, difference-injective
     when the search settings demand it, score exactly the reported
-    exponent, and realize the slice sizes tensor_sizes predicts when
-    tensored to two digits at their own carry-free base.
+    best_score (compared by compare_scores, no float tolerance), and realize
+    the slice sizes tensor_sizes predicts when tensored to two digits at
+    their own carry-free base.  The displayed best_exponent must be the one
+    best_score gives.
     """
     diagnostics: list[str] = []
+    if result.best_score is not None and result.best_exponent != _exponent(
+        *result.best_score
+    ):
+        diagnostics.append(
+            f"best_exponent {result.best_exponent!r} is not the exponent of "
+            f"best_score {result.best_score}"
+        )
     for i, witness in enumerate(result.witnesses):
         tag = f"witness {i}"
         if any(
@@ -292,10 +329,10 @@ def certify(result: SearchResult, spec: SearchSpec) -> CertificationReport:
         if stats.max_slice < 2:
             diagnostics.append(f"{tag}: degenerate slices cannot score")
             continue
-        exponent = _exponent(stats.difference_size, stats.max_slice)
-        if abs(exponent - result.best_exponent) > 1e-9:
+        score = (stats.difference_size, stats.max_slice)
+        if result.best_score is None or compare_scores(*score, *result.best_score):
             diagnostics.append(
-                f"{tag}: exponent mismatch ({exponent!r} vs {result.best_exponent!r})"
+                f"{tag}: exponent mismatch (score {score} vs {result.best_score})"
             )
         inst = tensor_pattern(pattern, 2, base=stats.min_base)
         measured = {

@@ -118,16 +118,30 @@ def test_criterion_3_inequality_chains_on_random_instances(acceptance):
     assert elapsed < 60
 
 
+def transfer_matrix_count(problem) -> int:
+    """Third count: 1^T M_1 .. M_k 1 with 0/1 matrices M_i[x][y] = [f_i(x) == f_i(y)]."""
+    items = problem.items
+    vector = [1] * len(items)
+    for lab in problem.labelings:
+        f = lab.assignment
+        matrix = [[int(f[x] == f[y]) for y in items] for x in items]
+        vector = [sum(m * v for m, v in zip(row, vector)) for row in matrix]
+    return sum(vector)
+
+
 def test_criterion_4_chain_lemma_suite(acceptance):
+    started = time.monotonic()
     rng = random.Random(97)
     runs = 1000
-    bound_failures = naive_failures = filter_failures = 0
+    bound_failures = naive_failures = filter_failures = matrix_failures = 0
     naive_checked = 0
     for _ in range(runs):
         problem = random_chain_problem(rng)
         count = chain_count_dp(problem)
         if count < chain_lower_bound(problem):
             bound_failures += 1
+        if transfer_matrix_count(problem) != count:
+            matrix_failures += 1
         if len(problem.items) ** (problem.steps + 1) <= 10**6:
             naive_checked += 1
             if chain_count_naive(problem) != count:
@@ -147,9 +161,12 @@ def test_criterion_4_chain_lemma_suite(acceptance):
             if chain_count_dp(tensor_power(problem, power)) != base**power:
                 tensor_failures += 1
 
+    elapsed = time.monotonic() - started
     ok = (
         bound_failures == naive_failures == filter_failures == tensor_failures == 0
+        and matrix_failures == 0
         and naive_checked > 0
+        and elapsed < 60
     )
     acceptance(
         ok,
@@ -159,9 +176,11 @@ def test_criterion_4_chain_lemma_suite(acceptance):
     )
     assert bound_failures == 0
     assert naive_failures == 0
+    assert matrix_failures == 0
     assert filter_failures == 0
     assert tensor_failures == 0
     assert naive_checked > 0
+    assert elapsed < 60
 
 
 def test_criterion_5_fingerprint_round_trips(acceptance):

@@ -1,7 +1,9 @@
-"""Chain counting: naive oracle vs dynamic program, lower bound, filter, tensoring."""
+"""Chain counting: naive oracle vs product enumeration and the dynamic program,
+lower bound, filter, tensoring."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -84,6 +86,32 @@ def test_dp_equals_naive_random():
     for _ in range(150):
         problem = random_chain_problem(rng, max_items=8, max_steps=3)
         assert chain_count_dp(problem) == chain_count_naive(problem)
+
+
+def product_count(problem: ChainProblem) -> int:
+    """Reference count: test the chain condition on every (n+1)-tuple."""
+    maps = [lab.assignment for lab in problem.labelings]
+    return sum(
+        all(m[tup[i]] == m[tup[i + 1]] for i, m in enumerate(maps))
+        for tup in itertools.product(problem.items, repeat=problem.steps + 1)
+    )
+
+
+def test_naive_equals_product_enumeration():
+    rng = random.Random(19)
+    for _ in range(150):
+        problem = random_chain_problem(rng, max_items=8, max_steps=3)
+        assert chain_count_naive(problem) == product_count(problem)
+    empty = ChainProblem(items=(), labelings=(Labeling({}, 0),))
+    assert chain_count_naive(empty) == product_count(empty) == 0
+
+
+def test_naive_long_chain_is_iterative():
+    # far deeper than the default recursion limit, and within the cap
+    steps = 5000
+    lab = Labeling({"x": 0}, label_count=1)
+    problem = ChainProblem(items=("x",), labelings=(lab,) * steps)
+    assert chain_count_naive(problem) == 1
 
 
 def test_lower_bound_random():

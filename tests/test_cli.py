@@ -195,7 +195,6 @@ def test_lemma_requires_exactly_one_source(capsys):
     for argv in (
         ["lemma", "--random", "0"],
         ["lemma", "--random", "-5"],
-        ["lemma", "--random", "3", "--workers", "0"],
     ):
         code, stdout, err = run(capsys, argv)
         assert code == 2
@@ -214,14 +213,6 @@ def test_lemma_random_batch_deterministic(capsys):
     code3, out3, _ = run(capsys, ["lemma", "--random", "12", "--seed", "10"])
     assert code3 == 0
     assert out3 != out1
-
-
-def test_lemma_workers_match_serial(capsys):
-    _, serial, _ = run(capsys, ["lemma", "--random", "8", "--seed", "4"])
-    _, parallel, _ = run(
-        capsys, ["lemma", "--random", "8", "--seed", "4", "--workers", "2"]
-    )
-    assert serial == parallel
 
 
 def test_search_command(tmp_path, capsys):
@@ -304,6 +295,7 @@ def test_unknown_subcommand_usage_error(capsys):
         ["construct", "example1", "--n", "1", "--cap", "5"],
         ["search", "--K", "2", "--seed", "1"],
         ["dimensions", "--workers", "2"],
+        ["lemma", "--random", "3", "--workers", "2"],
     ],
 )
 def test_options_only_where_read(argv, capsys):

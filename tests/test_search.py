@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import itertools
 import math
 import random
+import timeit
 
 import pytest
 
@@ -19,11 +22,15 @@ from arithproj.patterns import (
 from arithproj.search import (
     SearchResult,
     SearchSpec,
+    _primitive_power,
     canonicalize,
     certify,
     compare_scores,
     search,
 )
+
+# the package namespace binds ``search`` to the function, not the module
+search_module = importlib.import_module("arithproj.search")
 
 
 def test_canonicalize_translates_to_origin():
@@ -113,6 +120,44 @@ def test_compare_scores_big_integers():
     # no shared root and log ratios closer than floats resolve: refused
     with pytest.raises(ArithprojError):
         compare_scores(2**60 + 1, 2, 3**60 + 1, 3)
+
+
+def every_exponent_power(n: int) -> tuple[int, int]:
+    """Reference primitive power: the largest exponent k with an integer root."""
+    for k in range(n.bit_length() - 1, 1, -1):
+        r = next(r for r in itertools.count(2) if r**k >= n)
+        if r**k == n:
+            return r, k
+    return n, 1
+
+
+def test_primitive_power_prime_exponents(monkeypatch):
+    for n in range(2, 3000):
+        assert _primitive_power(n) == every_exponent_power(n)
+    assert _primitive_power(64) == (2, 6)
+    assert _primitive_power(6**12) == (6, 12)
+    assert _primitive_power(2**60) == (2, 60)
+    assert _primitive_power(10) == (10, 1)
+    big = 10**170 + 3
+    assert _primitive_power(big**2) == (big, 2)
+    # every exponent from 1129 down would take 1128 roots; prime exponents
+    # take two square roots, then one root per odd prime below 565
+    roots = []
+    root = search_module._integer_root
+    monkeypatch.setattr(
+        search_module, "_integer_root", lambda n, k: roots.append(k) or root(n, k)
+    )
+    assert _primitive_power(big**2) == (big, 2)
+    assert len(roots) == 104
+    monkeypatch.undo()
+    assert min(timeit.repeat(lambda: _primitive_power(big**2), number=1, repeat=3)) < 0.01
+
+
+def test_compare_scores_grid_unchanged_by_prime_exponents(monkeypatch):
+    grid = list(itertools.product(range(1, 13), range(2, 12)))
+    got = [compare_scores(*a, *b) for a in grid for b in grid]
+    monkeypatch.setattr(search_module, "_primitive_power", every_exponent_power)
+    assert got == [compare_scores(*a, *b) for a in grid for b in grid]
 
 
 def test_compare_scores_agrees_with_floats():
@@ -320,6 +365,26 @@ def test_certify_rejects_tampering():
     )
     report = certify(skewed, spec)
     assert not report.ok  # not canonical, not injective, wrong exponent
+
+
+def test_certify_checks_exact_score():
+    spec = SearchSpec(alphabet_max=3)
+    result = search(spec)
+    assert result.best_score == (6, 3)
+    assert certify(result, spec).ok
+    # (36, 9) has the same exponent as (6, 3), exactly
+    same = dataclasses.replace(
+        result, best_exponent=math.log(36) / math.log(9), best_score=(36, 9)
+    )
+    assert certify(same, spec).ok
+    for score in ((6, 4), (7, 3), None):
+        tampered = dataclasses.replace(result, best_score=score)
+        report = certify(tampered, spec)
+        assert not report.ok
+        assert any("exponent mismatch" in d for d in report.diagnostics)
+    # the displayed exponent must be the one of the exact score
+    shown = dataclasses.replace(result, best_exponent=result.best_exponent + 1e-12)
+    assert not certify(shown, spec).ok
 
 
 def test_certify_empty_result_is_ok():
