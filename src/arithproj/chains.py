@@ -53,6 +53,8 @@ class Labeling:
     label_count: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.label_count, bool) or not isinstance(self.label_count, int):
+            raise ValueError(f"label_count must be an int, got {self.label_count!r}")
         if self.label_count < 0:
             raise ValueError(f"label_count must be >= 0, got {self.label_count}")
         if self.label_count == 0 and self.assignment:

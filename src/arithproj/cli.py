@@ -103,6 +103,17 @@ def _int_option(name: str, text: str) -> int:
         raise MalformedInstance(f"{name} must be an integer, got {text!r}") from None
 
 
+def _cap(text: str) -> int:
+    """argparse type of both --cap options: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise MalformedInstance(f"--n must be >= 1, got {args.n}")
@@ -323,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--chain", choices=("6", "4", "both"), default="both")
     p.add_argument(
-        "--cap", type=int, default=DEFAULT_WEDGE_CAP,
+        "--cap", type=_cap, default=DEFAULT_WEDGE_CAP,
         help="largest wedge count to count through (default 10**6)",
     )
     p.set_defaults(func=_cmd_verify)
@@ -333,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", type=int, default=None, help="random batch size, >= 1")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument(
-        "--cap", type=int, default=10**6,
+        "--cap", type=_cap, default=10**6,
         help="largest tuple count for the naive recount (default 10**6)",
     )
     p.set_defaults(func=_cmd_lemma)

@@ -10,13 +10,11 @@ what lets a single digit's geometry certify growth exponents for every n.
 
 from __future__ import annotations
 
-import itertools
-import math
 from collections.abc import Collection
 from dataclasses import dataclass
 
 from .errors import InstanceTooLarge, InvalidBase
-from .groups import AmbientGroup, DigitVector, digits_to_elem
+from .groups import ELEMENT_MAGNITUDE_CAP, AmbientGroup
 from .instances import Instance
 
 __all__ = [
@@ -24,12 +22,10 @@ __all__ = [
     "EXAMPLE_ONE_PATTERN",
     "EXAMPLE_TWO_PATTERN",
     "DigitPattern",
-    "PatternStats",
     "build_example_one",
     "build_example_two",
     "max_slice",
     "min_base",
-    "pattern_stats",
     "tensor_pattern",
     "tensor_sizes",
 ]
@@ -143,66 +139,6 @@ def max_slice(pairs: Collection[tuple[int, int]], constrain_d: bool = False) -> 
     return max(sizes)
 
 
-@dataclass(frozen=True)
-class PatternStats:
-    """Single-digit slice sizes and the growth exponent they certify."""
-
-    pair_count: int
-    a_size: int
-    b_size: int
-    sum_size: int
-    skew_size: int
-    difference_size: int
-    max_slice: int
-    difference_injective: bool
-    min_base: int
-    constrain_d: bool
-    exponent: float | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "pairs": self.pair_count,
-            "sizes": {
-                "A": self.a_size,
-                "B": self.b_size,
-                "C": self.sum_size,
-                "D": self.skew_size,
-                "differences": self.difference_size,
-            },
-            "difference_injective": self.difference_injective,
-            "min_base": self.min_base,
-            "constrain_d": self.constrain_d,
-            "exponent": None if self.exponent is None else round(self.exponent, 6),
-        }
-
-
-def pattern_stats(pattern: DigitPattern) -> PatternStats:
-    """Measure every slice of the single-digit pattern.
-
-    The exponent ln(#pairs) / ln(max slice size) is the growth rate of the
-    difference projection against the shared slice budget after tensoring.
-    It is only defined when the pattern is difference-injective and some
-    slice has at least two values.
-    """
-    largest = max_slice(pattern.pairs, pattern.constrain_d)
-    exponent = None
-    if pattern.difference_injective and largest >= 2:
-        exponent = math.log(len(pattern.pairs)) / math.log(largest)
-    return PatternStats(
-        pair_count=len(pattern.pairs),
-        a_size=len(pattern.x_alphabet),
-        b_size=len(pattern.y_alphabet),
-        sum_size=len(pattern.sum_slice),
-        skew_size=len(pattern.skew_slice),
-        difference_size=len(pattern.difference_slice),
-        max_slice=largest,
-        difference_injective=pattern.difference_injective,
-        min_base=min_base(pattern),
-        constrain_d=pattern.constrain_d,
-        exponent=exponent,
-    )
-
-
 def tensor_sizes(pattern: DigitPattern, length: int) -> dict[str, int]:
     """Slice cardinalities of the length-digit tensor, computed analytically.
 
@@ -232,9 +168,13 @@ def tensor_pattern(
 ) -> Instance:
     """Materialize the length-digit instance of the pattern over the integers.
 
-    Every element is sum(digit_i * base**i).  Raises InvalidBase below the
-    carry-free threshold and InstanceTooLarge when the pair count would
-    exceed pair_cap.
+    Built one digit at a time: digit i adds (x * base**i, y * base**i) for
+    every pattern pair (x, y), so every element is sum(digit_i * base**i).
+    Every combination of alphabet digits occurs in some tensored pair, so A
+    and B are the two coordinate projections of the pairs.  Raises
+    InvalidBase below the carry-free threshold, and InstanceTooLarge when the
+    pair count would exceed pair_cap or the largest element, max digit *
+    (base**length - 1) / (base - 1), would exceed ELEMENT_MAGNITUDE_CAP.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
@@ -247,22 +187,21 @@ def tensor_pattern(
         raise InstanceTooLarge(
             f"{len(pattern.pairs)}**{length} pairs exceed cap {pair_cap}"
         )
-    group = AmbientGroup.integers()
-
-    def decode(digits: tuple[int, ...]) -> int:
-        return digits_to_elem(DigitVector(base, digits))
-
-    a_set = tuple(
-        decode(combo) for combo in itertools.product(pattern.x_alphabet, repeat=length)
+    largest = max(map(max, pattern.pairs)) * (base**length - 1) // (base - 1)
+    if largest > ELEMENT_MAGNITUDE_CAP:
+        raise InstanceTooLarge(
+            f"largest element {largest} exceeds cap {ELEMENT_MAGNITUDE_CAP}"
+        )
+    pairs, scale = [(0, 0)], 1
+    for _ in range(length):
+        pairs = [(a + x * scale, b + y * scale) for a, b in pairs for x, y in pattern.pairs]
+        scale *= base
+    return Instance(
+        group=AmbientGroup.integers(),
+        a_set=tuple({a for a, _ in pairs}),
+        b_set=tuple({b for _, b in pairs}),
+        pairs=tuple(pairs),
     )
-    b_set = tuple(
-        decode(combo) for combo in itertools.product(pattern.y_alphabet, repeat=length)
-    )
-    pairs = tuple(
-        (decode(tuple(x for x, _ in combo)), decode(tuple(y for _, y in combo)))
-        for combo in itertools.product(pattern.pairs, repeat=length)
-    )
-    return Instance(group=group, a_set=a_set, b_set=b_set, pairs=pairs)
 
 
 def build_example_one(

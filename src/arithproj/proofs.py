@@ -212,11 +212,6 @@ def _difference_index(inst: Instance) -> dict[int, tuple[int, int]]:
     return index
 
 
-def _is_wedge(inst: Instance, w: Wedge) -> bool:
-    pairs = set(inst.pairs)
-    return (w.a, w.b) in pairs and (w.a, w.b2) in pairs
-
-
 def reconstruct_quad(
     inst: Instance, w0: Wedge, apex2: int, partner3: int
 ) -> tuple[Wedge, Wedge, Wedge, Wedge]:
@@ -233,7 +228,7 @@ def reconstruct_quad(
     g = inst.group
     index = _difference_index(inst)
     pairs = set(inst.pairs)
-    if not _is_wedge(inst, w0):
+    if (w0.a, w0.b) not in pairs or (w0.a, w0.b2) not in pairs:
         raise NoPreimage(f"{w0} is not a wedge of the instance")
     delta = g.add(g.sub(apex2, partner3), g.sub(w0.b, w0.b2))
     hit = index.get(delta)

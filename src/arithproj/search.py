@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .errors import ArithprojError
 from .instances import DIFFERENCE, check_hypotheses, project
-from .patterns import DigitPattern, max_slice, pattern_stats, tensor_pattern, tensor_sizes
+from .patterns import DigitPattern, max_slice, tensor_pattern, tensor_sizes
 
 __all__ = [
     "CertificationReport",
@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 _EXHAUSTIVE_CELL_LIMIT = 25  # (K+1)**2 above this forbids exhaustive mode
+_WITNESS_CAP = 64  # witnesses kept in a result, least first
 
 
 def _normalized(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
@@ -164,7 +165,6 @@ class SearchSpec:
     mode: str = "exhaustive"
     node_budget: int | None = None
     require_difference_injective: bool = True
-    witness_cap: int = 64
 
     def __post_init__(self) -> None:
         if self.alphabet_max < 0:
@@ -178,23 +178,25 @@ class SearchSpec:
             )
         if self.node_budget is not None and self.node_budget < 1:
             raise ValueError(f"node_budget must be >= 1, got {self.node_budget}")
-        if self.witness_cap < 1:
-            raise ValueError("witness_cap must be >= 1")
 
 
 @dataclass(frozen=True)
 class SearchResult:
     """The incumbent of a walk.
 
-    ``best_score`` is the exact (#differences, max slice) pair behind the
-    displayed ``best_exponent``, or None when no pattern scored.
+    ``best_score`` is the exact (#differences, max slice) pair of the
+    incumbent, or None when no pattern scored.  ``best_exponent`` is derived
+    from it for display.
     """
 
-    best_exponent: float
     witnesses: tuple[DigitPattern, ...]
     exhaustive: bool
     nodes_explored: int
     best_score: tuple[int, int] | None = None
+
+    @property
+    def best_exponent(self) -> float:
+        return 0.0 if self.best_score is None else _exponent(*self.best_score)
 
     def to_json_dict(self) -> dict:
         return {
@@ -275,13 +277,7 @@ def search(spec: SearchSpec) -> SearchResult:
 
     descend(0)
     witnesses = sorted(ties.values(), key=lambda p: (len(p.pairs), p.pairs))
-    return SearchResult(
-        0.0 if best is None else _exponent(*best),
-        tuple(witnesses[: spec.witness_cap]),
-        not exhausted,
-        nodes,
-        best,
-    )
+    return SearchResult(tuple(witnesses[:_WITNESS_CAP]), not exhausted, nodes, best)
 
 
 @dataclass(frozen=True)
@@ -297,20 +293,13 @@ def certify(result: SearchResult, spec: SearchSpec) -> CertificationReport:
     """Recheck every witness from scratch.
 
     Witnesses must be canonical, inside the alphabet, difference-injective
-    when the search settings demand it, score exactly the reported
-    best_score (compared by compare_scores, no float tolerance), and realize
-    the slice sizes tensor_sizes predicts when tensored to two digits at
-    their own carry-free base.  The displayed best_exponent must be the one
-    best_score gives.
+    when the search settings demand it, and score exactly the reported
+    best_score: (#differences, max_slice) is compared by compare_scores, with
+    no float tolerance.  Tensored to two digits at their own carry-free base
+    (min_base), they must realize the slice sizes tensor_sizes predicts.
+    best_exponent is derived from best_score, so it needs no check.
     """
     diagnostics: list[str] = []
-    if result.best_score is not None and result.best_exponent != _exponent(
-        *result.best_score
-    ):
-        diagnostics.append(
-            f"best_exponent {result.best_exponent!r} is not the exponent of "
-            f"best_score {result.best_score}"
-        )
     for i, witness in enumerate(result.witnesses):
         tag = f"witness {i}"
         if any(
@@ -325,16 +314,16 @@ def certify(result: SearchResult, spec: SearchSpec) -> CertificationReport:
             diagnostics.append(f"{tag}: not difference-injective")
             continue
         pattern = DigitPattern(witness.pairs, constrain_d=spec.constrain_d)
-        stats = pattern_stats(pattern)
-        if stats.max_slice < 2:
+        slice_size = max_slice(pattern.pairs, pattern.constrain_d)
+        if slice_size < 2:
             diagnostics.append(f"{tag}: degenerate slices cannot score")
             continue
-        score = (stats.difference_size, stats.max_slice)
+        score = (len(pattern.difference_slice), slice_size)
         if result.best_score is None or compare_scores(*score, *result.best_score):
             diagnostics.append(
                 f"{tag}: exponent mismatch (score {score} vs {result.best_score})"
             )
-        inst = tensor_pattern(pattern, 2, base=stats.min_base)
+        inst = tensor_pattern(pattern, 2)
         measured = {
             **check_hypotheses(inst, 1, with_d=spec.constrain_d).sizes,
             "G": len(inst.pairs),

@@ -31,7 +31,7 @@ from arithproj.kakeya import (
     novelty_threshold,
     wolff_bound,
 )
-from arithproj.patterns import build_example_one, build_example_two, pattern_stats
+from arithproj.patterns import build_example_one, build_example_two, max_slice
 from arithproj.proofs import (
     collision_fingerprint,
     enumerate_wedges,
@@ -280,9 +280,9 @@ def test_criterion_7_search_reproduction(acceptance):
         and t3 < 300
     )
     # a witness must certify to the first construction's statistics
-    stats = [pattern_stats(w) for w in res3.witnesses]
     three_ok = three_ok and any(
-        s.pair_count == 6 and s.max_slice == 3 for s in stats
+        len(w.pairs) == 6 and max_slice(w.pairs, w.constrain_d) == 3
+        for w in res3.witnesses
     )
     four_ok = (
         res4.exhaustive

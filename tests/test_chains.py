@@ -58,6 +58,13 @@ def test_labeling_validation():
     Labeling({}, label_count=0)
 
 
+def test_label_count_must_be_int():
+    # bool is an int subclass, but True is no label-set size
+    for count in (2.5, True, "2"):
+        with pytest.raises(ValueError):
+            Labeling({0: 0}, count)
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         ChainProblem(items=(0, 0), labelings=(Labeling({0: 0}, 1),))

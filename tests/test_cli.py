@@ -187,6 +187,44 @@ def test_lemma_problem_file(tmp_path, capsys):
     assert payload["naive"] == "skipped"
 
 
+def test_lemma_non_integer_label_count_exit_code(tmp_path, capsys):
+    for count in (2.5, True):
+        doc = {"items": [1, 2], "labelings": [{"labels": [1, 2], "label_count": count}]}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        code, stdout, err = run(capsys, ["lemma", str(path)])
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error:") and "label_count" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "inst.json", "--cap", "-5"],
+        ["lemma", "--random", "3", "--cap", "-1"],
+    ],
+)
+def test_negative_cap_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--cap: must be >= 0" in capsys.readouterr().err
+
+
+def test_zero_cap_is_valid(tmp_path, capsys):
+    out = tmp_path / "inst.json"
+    assert main(["construct", "example1", "--n", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    # example one has 3 * 2**2 = 12 wedges at one digit
+    code, _, err = run(capsys, ["verify", str(out), "--cap", "0"])
+    assert code == 4
+    assert "12 wedges" in err
+    code, stdout, _ = run(capsys, ["lemma", "--random", "3", "--cap", "0"])
+    assert code == 0
+    assert all(case["naive"] == "skipped" for case in json.loads(stdout)["cases"])
+
+
 def test_lemma_requires_exactly_one_source(capsys):
     code, _, _ = run(capsys, ["lemma"])
     assert code == 2

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import itertools
-import math
 import random
 
 import pytest
 
 from arithproj.errors import InstanceTooLarge, InvalidBase
+from arithproj.groups import ELEMENT_MAGNITUDE_CAP
 from arithproj.instances import DIFFERENCE, SKEW_SUM, SUM, project
 from arithproj.patterns import (
     EXAMPLE_ONE_PATTERN,
@@ -16,8 +16,8 @@ from arithproj.patterns import (
     DigitPattern,
     build_example_one,
     build_example_two,
+    max_slice,
     min_base,
-    pattern_stats,
     tensor_pattern,
     tensor_sizes,
 )
@@ -43,12 +43,9 @@ def test_example_one_pattern_frozen():
     assert p.difference_injective
     assert min_base(p) == 7
 
-    stats = pattern_stats(p)
-    assert stats.pair_count == 6
-    assert stats.a_size == stats.b_size == stats.sum_size == 3
-    assert stats.max_slice == 3
-    assert stats.difference_injective
-    assert abs(stats.exponent - math.log(6) / math.log(3)) < 1e-12
+    assert len(p.pairs) == 6
+    assert len(p.x_alphabet) == len(p.y_alphabet) == len(p.sum_slice) == 3
+    assert max_slice(p.pairs, p.constrain_d) == 3
 
 
 def test_example_two_pattern_frozen():
@@ -72,10 +69,8 @@ def test_example_two_pattern_frozen():
     assert p.difference_injective
     assert min_base(p) == 9
 
-    stats = pattern_stats(p)
-    assert stats.pair_count == 8
-    assert stats.max_slice == 4
-    assert abs(stats.exponent - 1.5) < 1e-12
+    assert len(p.pairs) == 8
+    assert max_slice(p.pairs, p.constrain_d) == 4
 
 
 def test_min_base_cases():
@@ -178,6 +173,17 @@ def test_tensor_pattern_errors():
         tensor_pattern(EXAMPLE_ONE_PATTERN, 3, pair_cap=100)
 
 
+def test_tensor_magnitude_cap_edge():
+    # one digit of 2**63 - 1 needs base 2**63, so the largest element is
+    # exactly the cap at one digit and far above it at two
+    widest = DigitPattern(((0, 2**63 - 1),))
+    inst = tensor_pattern(widest, 1)
+    assert max(inst.b_set) == ELEMENT_MAGNITUDE_CAP
+    assert inst.pairs == ((0, ELEMENT_MAGNITUDE_CAP),)
+    with pytest.raises(InstanceTooLarge):
+        tensor_pattern(widest, 2)
+
+
 def test_build_example_one():
     inst = build_example_one(2)
     assert len(inst.pairs) == 36
@@ -213,12 +219,9 @@ def test_digit_elements_decode_positionally():
 
 def test_exponent_none_when_degenerate():
     flat = DigitPattern(pairs=((0, 0),))
-    stats = pattern_stats(flat)
-    assert stats.max_slice == 1
-    assert stats.exponent is None
+    assert max_slice(flat.pairs, flat.constrain_d) == 1
     dup = DigitPattern(pairs=((0, 0), (1, 1)))
     assert not dup.difference_injective
-    assert pattern_stats(dup).exponent is None
 
 
 def test_all_pairs_distinct_in_tensor():
