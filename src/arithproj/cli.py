@@ -31,15 +31,15 @@ from .chains import (
 )
 from .errors import (
     ArithprojError,
+    EmptyLabelSet,
     EnumerationCapExceeded,
     HypothesisViolated,
     InstanceTooLarge,
     InvalidBase,
     InvalidDimension,
     MalformedInstance,
-    OutOfRange,
 )
-from .instances import check_hypotheses, load_instance, save_instance
+from .instances import load_instance, save_instance, slice_sizes
 from .kakeya import dimension_report
 from .patterns import EXAMPLE_ONE_PATTERN, EXAMPLE_TWO_PATTERN, DigitPattern, tensor_pattern
 from .proofs import DEFAULT_WEDGE_CAP, verify_four_slice_chain, verify_three_slice_chain
@@ -141,8 +141,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         print(json.dumps(inst.to_json_dict(), indent=2, sort_keys=True))
         return EXIT_OK
     save_instance(inst, args.out)
-    sizes = check_hypotheses(inst, 1, with_d=True).sizes
-    summary = {"out": args.out, "G": len(inst.pairs), **sizes}
+    summary = {"out": args.out, "G": len(inst.pairs), **slice_sizes(inst, with_d=True)}
     if pattern_pairs is not None:
         summary["pattern_pairs"] = pattern_pairs
     _emit(args.output, summary)
@@ -154,7 +153,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ladders = [ladder for ladder in _LADDERS if args.chain in (ladder[0], "both")]
     if args.N == "auto":
         with_d = args.chain in ("4", "both")
-        budget = max(check_hypotheses(inst, 1, with_d=with_d).sizes.values())
+        budget = max(slice_sizes(inst, with_d=with_d).values())
     else:
         budget = _int_option("--N", args.N)
         if budget < 1:
@@ -229,7 +228,7 @@ def _load_chain_problem(path: str) -> ChainProblem:
             count = entry.get("label_count", len(set(assignment.values())))
             labelings.append(Labeling(assignment=assignment, label_count=count))
         return ChainProblem(items=tuple(items), labelings=tuple(labelings))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, EmptyLabelSet) as exc:
         raise MalformedInstance(f"bad chain problem file: {exc}") from exc
 
 
@@ -370,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MalformedInstance, InvalidBase, InvalidDimension, OutOfRange) as exc:
+    except (MalformedInstance, InvalidBase, InvalidDimension) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except json.JSONDecodeError as exc:

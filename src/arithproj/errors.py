@@ -17,7 +17,6 @@ __all__ = [
     "MalformedInstance",
     "NoPreimage",
     "NotDifferenceInjective",
-    "OutOfRange",
 ]
 
 
@@ -27,10 +26,6 @@ class ArithprojError(Exception):
 
 class InstanceTooLarge(ArithprojError):
     """A requested object exceeds a materialization or magnitude cap."""
-
-
-class OutOfRange(ArithprojError):
-    """A value lies outside the domain required by the operation."""
 
 
 class MalformedInstance(ArithprojError):

@@ -1,22 +1,17 @@
-"""Ambient groups (the integers, or integers mod m) and base-M digit codecs."""
+"""Ambient groups: the integers, or the integers mod m."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InstanceTooLarge, OutOfRange
-
 __all__ = [
     "ELEMENT_MAGNITUDE_CAP",
     "AmbientGroup",
-    "DigitVector",
-    "digits_to_elem",
-    "elem_to_digits",
 ]
 
-# Elements are plain Python ints.  Arithmetic is total and exact, but digit
-# decodings are capped at a machine-word magnitude so construction sizes stay
-# in a range where set operations are cheap.
+# Elements are plain Python ints.  Arithmetic is total and exact, but tensor
+# constructions are capped at a machine-word magnitude so construction sizes
+# stay in a range where set operations are cheap.
 ELEMENT_MAGNITUDE_CAP = 2**63 - 1
 
 
@@ -80,58 +75,3 @@ class AmbientGroup:
         if isinstance(obj, dict) and set(obj) == {"mod"} and isinstance(obj["mod"], int):
             return cls(obj["mod"])
         raise ValueError(f"unrecognized group spec: {obj!r}")
-
-
-@dataclass(frozen=True)
-class DigitVector:
-    """A fixed-length vector of base-M digit values, least significant first.
-
-    Entries may be any integers (difference vectors are signed); a vector
-    whose entries all lie in ``range(base)`` represents a set element.
-    """
-
-    base: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.base < 2:
-            raise ValueError(f"base must be >= 2, got {self.base}")
-        if len(self.digits) < 1:
-            raise ValueError("digit vector must have length >= 1")
-        object.__setattr__(self, "digits", tuple(int(d) for d in self.digits))
-
-    def is_set_element(self) -> bool:
-        return all(0 <= d < self.base for d in self.digits)
-
-
-def digits_to_elem(vector: DigitVector) -> int:
-    """Evaluate sum(d_i * base**i) exactly.
-
-    Raises InstanceTooLarge when the result magnitude exceeds the cap.
-    """
-    value = 0
-    power = 1
-    for d in vector.digits:
-        value += d * power
-        power *= vector.base
-    if abs(value) > ELEMENT_MAGNITUDE_CAP:
-        raise InstanceTooLarge(
-            f"digit decoding magnitude {abs(value)} exceeds cap {ELEMENT_MAGNITUDE_CAP}"
-        )
-    return value
-
-
-def elem_to_digits(x: int, base: int, length: int) -> DigitVector:
-    """Invert digits_to_elem on set elements: 0 <= x < base**length required."""
-    if base < 2:
-        raise ValueError(f"base must be >= 2, got {base}")
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
-    if not 0 <= x < base**length:
-        raise OutOfRange(f"{x} is not in range(0, {base}**{length})")
-    digits = []
-    rest = x
-    for _ in range(length):
-        rest, d = divmod(rest, base)
-        digits.append(d)
-    return DigitVector(base, tuple(digits))

@@ -17,16 +17,15 @@ __all__ = [
     "DIFFERENCE",
     "SKEW_SUM",
     "SUM",
-    "HypothesisReport",
     "Instance",
     "LinearForm",
-    "check_hypotheses",
     "is_difference_injective",
     "load_instance",
     "project",
     "reduce_to_difference_injective",
     "require_hypotheses",
     "save_instance",
+    "slice_sizes",
 ]
 
 
@@ -152,57 +151,32 @@ def project(inst: Instance, form: LinearForm) -> frozenset[int]:
     return frozenset(form.apply(g, x, y) for x, y in inst.pairs)
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Cardinalities of the slices and which budget hypotheses they satisfy."""
-
-    budget: int
-    sizes: dict[str, int]
-    satisfied: dict[str, bool]
-
-    @property
-    def all_satisfied(self) -> bool:
-        return all(self.satisfied.values())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "N": self.budget,
-            "sizes": dict(self.sizes),
-            "satisfied": dict(self.satisfied),
-        }
-
-
-def check_hypotheses(inst: Instance, budget: int, with_d: bool = False) -> HypothesisReport:
-    """Check #A, #B <= budget, #C <= budget, and optionally #D <= budget.
+def slice_sizes(inst: Instance, with_d: bool = False) -> dict[str, int]:
+    """#A, #B, #C and, when with_d, #D.
 
     C = project under (1, 1) and D = project under (1, 2).
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
     sizes = {
         "A": len(inst.a_set),
         "B": len(inst.b_set),
         "C": len(project(inst, SUM)),
     }
-    satisfied = {
-        "ab-card": sizes["A"] <= budget and sizes["B"] <= budget,
-        "c-card": sizes["C"] <= budget,
-    }
     if with_d:
         sizes["D"] = len(project(inst, SKEW_SUM))
-        satisfied["d-card"] = sizes["D"] <= budget
-    return HypothesisReport(budget=budget, sizes=sizes, satisfied=satisfied)
+    return sizes
 
 
-def require_hypotheses(inst: Instance, budget: int, with_d: bool = False) -> HypothesisReport:
-    """check_hypotheses, but raise HypothesisViolated on any failure."""
-    report = check_hypotheses(inst, budget, with_d=with_d)
-    if not report.all_satisfied:
-        failed = sorted(name for name, ok in report.satisfied.items() if not ok)
+def require_hypotheses(inst: Instance, budget: int, with_d: bool = False) -> dict[str, int]:
+    """slice_sizes, but raise HypothesisViolated when any slice exceeds budget."""
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    sizes = slice_sizes(inst, with_d=with_d)
+    failed = sorted(name for name, size in sizes.items() if size > budget)
+    if failed:
         raise HypothesisViolated(
-            f"hypotheses {failed} fail for budget {budget} (sizes {report.sizes})"
+            f"hypotheses {failed} fail for budget {budget} (sizes {sizes})"
         )
-    return report
+    return sizes
 
 
 def is_difference_injective(inst: Instance) -> bool:

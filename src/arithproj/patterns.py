@@ -117,7 +117,7 @@ def min_base(pattern: DigitPattern) -> int:
 
     Sums (and skew sums, when tracked) must stay below the base so they are
     single digits, and the difference alphabet must fit in a window of width
-    base - 1 so signed digit vectors decode uniquely.
+    base - 1 so distinct signed digit strings give distinct differences.
     """
     diffs = pattern.difference_slice
     needed = max(x + y for x, y in pattern.pairs)
@@ -172,9 +172,10 @@ def tensor_pattern(
     every pattern pair (x, y), so every element is sum(digit_i * base**i).
     Every combination of alphabet digits occurs in some tensored pair, so A
     and B are the two coordinate projections of the pairs.  Raises
-    InvalidBase below the carry-free threshold, and InstanceTooLarge when the
-    pair count would exceed pair_cap or the largest element, max digit *
-    (base**length - 1) / (base - 1), would exceed ELEMENT_MAGNITUDE_CAP.
+    InvalidBase below the carry-free threshold, and InstanceTooLarge when
+    length exceeds 63 digits, when the pair count would exceed pair_cap, or
+    when the largest element, max digit * (base**length - 1) / (base - 1),
+    would exceed ELEMENT_MAGNITUDE_CAP.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
@@ -183,6 +184,12 @@ def tensor_pattern(
         base = threshold
     if base < threshold:
         raise InvalidBase(f"base {base} is below the carry-free threshold {threshold}")
+    # Checked before any power of length is taken.  A nonzero digit in
+    # position 63 is at least 2**63, so this adds a bound only for the
+    # all-zero pattern, which the magnitude cap never stops.
+    digit_cap = ELEMENT_MAGNITUDE_CAP.bit_length()
+    if length > digit_cap:
+        raise InstanceTooLarge(f"{length} digits exceed cap {digit_cap}")
     if len(pattern.pairs) ** length > pair_cap:
         raise InstanceTooLarge(
             f"{len(pattern.pairs)}**{length} pairs exceed cap {pair_cap}"
@@ -204,24 +211,19 @@ def tensor_pattern(
     )
 
 
-def build_example_one(
-    length: int, base: int | None = None, pair_cap: int = DEFAULT_PAIR_CAP
-) -> Instance:
+def build_example_one(length: int, base: int | None = None) -> Instance:
     """Digits from {0, 1, 3} on both sides, paired exactly when they differ.
 
     Per digit: 6 pairs, all slices of size 3, six distinct differences.
-    The base defaults to min_base, 7: the difference window (width 6) must
-    decode uniquely.
+    The base defaults to min_base, 7: the difference window has width 6.
     """
-    return tensor_pattern(EXAMPLE_ONE_PATTERN, length, base=base, pair_cap=pair_cap)
+    return tensor_pattern(EXAMPLE_ONE_PATTERN, length, base=base)
 
 
-def build_example_two(
-    length: int, base: int | None = None, pair_cap: int = DEFAULT_PAIR_CAP
-) -> Instance:
+def build_example_two(length: int, base: int | None = None) -> Instance:
     """Eight fixed digit pairs with all four slices of size 4 per digit.
 
     The skew slice {x + 2y} is tracked, so carries must also be avoided
     there: the base defaults to min_base, 9.
     """
-    return tensor_pattern(EXAMPLE_TWO_PATTERN, length, base=base, pair_cap=pair_cap)
+    return tensor_pattern(EXAMPLE_TWO_PATTERN, length, base=base)

@@ -108,22 +108,6 @@ def enumerate_wedges(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> tuple[Wedg
     return tuple(out)
 
 
-def sum_pair_label(group: AmbientGroup, w: Wedge) -> tuple[int, int]:
-    return (group.add(w.a, w.b), group.add(w.a, w.b2))
-
-
-def partner_label(w: Wedge) -> tuple[int, int]:
-    return (w.b, w.b2)
-
-
-def sum_partner_label(group: AmbientGroup, w: Wedge) -> tuple[int, int]:
-    return (group.add(w.a, w.b), w.b2)
-
-
-def skew_label(group: AmbientGroup, w: Wedge) -> tuple[int, int]:
-    return (group.add(w.a, group.scale(2, w.b)), w.b2)
-
-
 def linked_quad_problem(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> ChainProblem:
     """X = wedges, three labelings into C x C, B x B, C x B."""
     g = inst.group
@@ -131,9 +115,9 @@ def linked_quad_problem(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> ChainPr
     c_size = len(project(inst, SUM))
     b_size = len(inst.b_set)
     labelings = (
-        Labeling({w: sum_pair_label(g, w) for w in wedges}, c_size**2),
-        Labeling({w: partner_label(w) for w in wedges}, b_size**2),
-        Labeling({w: sum_partner_label(g, w) for w in wedges}, c_size * b_size),
+        Labeling({w: (g.add(w.a, w.b), g.add(w.a, w.b2)) for w in wedges}, c_size**2),
+        Labeling({w: (w.b, w.b2) for w in wedges}, b_size**2),
+        Labeling({w: (g.add(w.a, w.b), w.b2) for w in wedges}, c_size * b_size),
     )
     return ChainProblem(items=wedges, labelings=labelings)
 
@@ -174,7 +158,7 @@ def skew_collision_problem(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> Chai
     d_size = len(project(inst, SKEW_SUM))
     b_size = len(inst.b_set)
     labelings = (
-        Labeling({w: skew_label(g, w) for w in wedges}, d_size * b_size),
+        Labeling({w: (g.add(w.a, g.scale(2, w.b)), w.b2) for w in wedges}, d_size * b_size),
     )
     return ChainProblem(items=wedges, labelings=labelings)
 
@@ -338,7 +322,7 @@ def verify_three_slice_chain(
     against the actual ambient label sizes, which is sharper.
     """
     reduced = reduce_to_difference_injective(inst)
-    sizes = require_hypotheses(reduced, budget, with_d=False).sizes
+    sizes = require_hypotheses(reduced, budget, with_d=False)
     relation = len(reduced.pairs)
     wedges = wedge_count(reduced)
     quads = count_linked_quads(reduced, cap=cap)
@@ -377,7 +361,7 @@ def verify_four_slice_chain(
     Requires #A, #B, #C, #D <= budget on the reduced instance.
     """
     reduced = reduce_to_difference_injective(inst)
-    sizes = require_hypotheses(reduced, budget, with_d=True).sizes
+    sizes = require_hypotheses(reduced, budget, with_d=True)
     relation = len(reduced.pairs)
     wedges = wedge_count(reduced)
     collisions = count_skew_collisions(reduced, cap=cap)

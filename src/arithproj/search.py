@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArithprojError
-from .instances import DIFFERENCE, check_hypotheses, project
+from .instances import DIFFERENCE, project, slice_sizes
 from .patterns import DigitPattern, max_slice, tensor_pattern, tensor_sizes
 
 __all__ = [
@@ -325,7 +325,7 @@ def certify(result: SearchResult, spec: SearchSpec) -> CertificationReport:
             )
         inst = tensor_pattern(pattern, 2)
         measured = {
-            **check_hypotheses(inst, 1, with_d=spec.constrain_d).sizes,
+            **slice_sizes(inst, with_d=spec.constrain_d),
             "G": len(inst.pairs),
             "differences": len(project(inst, DIFFERENCE)),
         }

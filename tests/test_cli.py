@@ -93,6 +93,19 @@ def test_construct_negative_pattern_pair_exit_code(tmp_path, capsys):
     assert err.startswith("error:") and "nonnegative" in err
 
 
+def test_construct_digit_cap_exit_code(tmp_path, capsys):
+    # the all-zero pattern never exceeds the magnitude cap; the digit cap stops it
+    pattern_path = tmp_path / "pattern.json"
+    pattern_path.write_text(json.dumps({"pairs": [[0, 0]]}))
+    code, stdout, err = run(
+        capsys,
+        ["construct", "pattern-file", "--pattern-file", str(pattern_path), "--n", "64"],
+    )
+    assert code == 4
+    assert stdout == ""
+    assert err.startswith("error:") and "64 digits" in err
+
+
 def test_verify_both_chains(tmp_path, capsys):
     out = tmp_path / "inst.json"
     assert main(["construct", "example2", "--n", "2", "--out", str(out)]) == 0
@@ -129,6 +142,8 @@ def test_verify_explicit_budget_violation(tmp_path, capsys):
     code, _, err = run(capsys, ["verify", str(out), "--N", "3"])
     assert code == 3
     assert "hypotheses" in err
+    # #A = #B = #C = 9 at N = 3, so all three slices are named
+    assert "['A', 'B', 'C']" in err
 
 
 def test_verify_wedge_cap(tmp_path, capsys):
@@ -188,14 +203,15 @@ def test_lemma_problem_file(tmp_path, capsys):
 
 
 def test_lemma_non_integer_label_count_exit_code(tmp_path, capsys):
-    for count in (2.5, True):
+    cases = ((2.5, "label_count"), (True, "label_count"), (0, "empty label set"))
+    for count, fragment in cases:
         doc = {"items": [1, 2], "labelings": [{"labels": [1, 2], "label_count": count}]}
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(doc))
         code, stdout, err = run(capsys, ["lemma", str(path)])
         assert code == 2
         assert stdout == ""
-        assert err.startswith("error:") and "label_count" in err
+        assert err.startswith("error:") and fragment in err
 
 
 @pytest.mark.parametrize(

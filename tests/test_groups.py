@@ -1,4 +1,4 @@
-"""Ambient group arithmetic and digit encoding."""
+"""Ambient group arithmetic."""
 
 from __future__ import annotations
 
@@ -6,14 +6,7 @@ import random
 
 import pytest
 
-from arithproj.errors import InstanceTooLarge, OutOfRange
-from arithproj.groups import (
-    ELEMENT_MAGNITUDE_CAP,
-    AmbientGroup,
-    DigitVector,
-    digits_to_elem,
-    elem_to_digits,
-)
+from arithproj.groups import AmbientGroup
 
 
 def test_integer_group_arithmetic():
@@ -73,51 +66,3 @@ def test_group_axioms_random():
         assert g.add(x, g.neg(x)) == g.canon(0)
         assert g.sub(x, y) == g.add(x, g.neg(y))
         assert g.scale(3, x) == g.add(x, g.add(x, x))
-
-
-def test_digit_vector_validation():
-    v = DigitVector(base=7, digits=(6, 0, 1))
-    assert v.is_set_element()
-    with pytest.raises(ValueError):
-        DigitVector(base=1, digits=(0,))
-    with pytest.raises(ValueError):
-        DigitVector(base=7, digits=())
-    # out-of-range digits are allowed (difference vectors are signed),
-    # they just fail the set-element predicate
-    assert not DigitVector(base=7, digits=(7,)).is_set_element()
-    assert not DigitVector(base=7, digits=(-1,)).is_set_element()
-
-
-def test_digit_round_trip_frozen():
-    # 48 = 6 + 6*7 in base 7, least significant digit first
-    assert elem_to_digits(48, 7, 2) == DigitVector(base=7, digits=(6, 6))
-    assert digits_to_elem(DigitVector(base=7, digits=(6, 6))) == 48
-    assert digits_to_elem(DigitVector(base=10, digits=(3, 2, 1))) == 123
-
-
-def test_digit_round_trip_random():
-    rng = random.Random(7)
-    for _ in range(300):
-        base = rng.randrange(2, 40)
-        length = rng.randrange(1, 12)
-        x = rng.randrange(base**length)
-        vec = elem_to_digits(x, base, length)
-        assert len(vec.digits) == length
-        assert vec.is_set_element()
-        assert digits_to_elem(vec) == x
-
-
-def test_elem_to_digits_range_errors():
-    with pytest.raises(OutOfRange):
-        elem_to_digits(-1, 7, 3)
-    with pytest.raises(OutOfRange):
-        elem_to_digits(7**3, 7, 3)
-
-
-def test_magnitude_cap_enforced():
-    # 2**63 - 1 itself is representable, one more is not
-    top = DigitVector(base=2, digits=(1,) * 63)
-    assert digits_to_elem(top) == ELEMENT_MAGNITUDE_CAP
-    over = DigitVector(base=2, digits=(0,) * 63 + (1,))
-    with pytest.raises(InstanceTooLarge):
-        digits_to_elem(over)

@@ -15,13 +15,13 @@ from arithproj.instances import (
     SUM,
     Instance,
     LinearForm,
-    check_hypotheses,
     is_difference_injective,
     load_instance,
     project,
     reduce_to_difference_injective,
     require_hypotheses,
     save_instance,
+    slice_sizes,
 )
 from arithproj.sampling import random_instance
 
@@ -122,24 +122,16 @@ def test_load_rejects_malformed(tmp_path):
 
 def test_hypothesis_report():
     inst = small_instance()
-    report = check_hypotheses(inst, 3)
-    assert report.budget == 3
-    assert report.sizes == {"A": 3, "B": 3, "C": 3}
-    assert report.satisfied == {"ab-card": True, "c-card": True}
-    assert report.all_satisfied
+    assert slice_sizes(inst) == {"A": 3, "B": 3, "C": 3}
+    assert require_hypotheses(inst, 3) == {"A": 3, "B": 3, "C": 3}
 
-    report = check_hypotheses(inst, 3, with_d=True)
-    assert report.sizes["D"] == 6
-    assert report.satisfied["d-card"] is False
-    assert not report.all_satisfied
+    assert slice_sizes(inst, with_d=True) == {"A": 3, "B": 3, "C": 3, "D": 6}
+    with pytest.raises(HypothesisViolated, match=r"\['D'\]"):
+        require_hypotheses(inst, 3, with_d=True)
 
-    report = check_hypotheses(inst, 6, with_d=True)
-    assert report.all_satisfied
-
-    doc = report.to_json_dict()
-    assert doc["N"] == 6
+    assert require_hypotheses(inst, 6, with_d=True)["D"] == 6
     with pytest.raises(ValueError):
-        check_hypotheses(inst, 0)
+        require_hypotheses(inst, 0)
 
 
 def test_require_hypotheses_raises():

@@ -155,13 +155,15 @@ def test_carry_free_base_is_tight():
 
 
 def test_constructed_instances_pass_hypotheses():
-    from arithproj.instances import check_hypotheses
+    from arithproj.instances import require_hypotheses
 
     for n in (1, 2, 3):
-        assert check_hypotheses(build_example_one(n), 3**n).all_satisfied
-        assert check_hypotheses(
-            build_example_two(n), 4**n, with_d=True
-        ).all_satisfied
+        assert require_hypotheses(build_example_one(n), 3**n) == {
+            "A": 3**n, "B": 3**n, "C": 3**n,
+        }
+        assert require_hypotheses(build_example_two(n), 4**n, with_d=True) == {
+            "A": 4**n, "B": 4**n, "C": 4**n, "D": 4**n,
+        }
 
 
 def test_tensor_pattern_errors():
@@ -182,6 +184,14 @@ def test_tensor_magnitude_cap_edge():
     assert inst.pairs == ((0, ELEMENT_MAGNITUDE_CAP),)
     with pytest.raises(InstanceTooLarge):
         tensor_pattern(widest, 2)
+    # the all-zero pattern never reaches the magnitude cap, so the 63-digit
+    # bound is what stops it; a huge length is rejected before any power
+    zero = DigitPattern(((0, 0),))
+    assert tensor_pattern(zero, 63).pairs == ((0, 0),)
+    with pytest.raises(InstanceTooLarge):
+        tensor_pattern(zero, 64)
+    with pytest.raises(InstanceTooLarge):
+        tensor_pattern(EXAMPLE_ONE_PATTERN, 10**9)
 
 
 def test_build_example_one():
