@@ -11,16 +11,25 @@ search keeps one representative per symmetry class.
 One depth-first walk covers both spaces.  It visits a list of choice groups
 and, at each group, first skips it and then tries each of its cells in turn.
 A group is a diagonal x - y = d in the difference-injective space and a
-single cell (in x-major order) otherwise.  Branch-and-bound mode prunes a
-subtree only when even one more pair per remaining group could not reach
-the incumbent's score.  Leaves are scored from the raw chosen cells; only
-a leaf that ties or beats the incumbent is built as a pattern and
-canonicalized.
+single cell (in x-major order) otherwise.  The walk recurses once per group,
+so a spec may have at most _GROUP_LIMIT groups.
+
+The walk keeps one flat tally list with a block of slots per form (x, y,
+x + y, x + 2y when D is constrained, and x - y), and the number of distinct
+values per form.  Pushing or popping a cell updates its precomputed slots,
+so the max slice and #differences of the chosen cells are read without
+rebuilding any set.  Branch-and-bound mode prunes a subtree only when even
+one more pair per remaining group could not reach the incumbent's score.
+Leaves are scored from the tallies; only a leaf that ties or beats the
+incumbent is built as a pattern and canonicalized.
 
 Score comparisons are decided exactly by the root rule of compare_scores:
 log ratios whose numbers share primitive roots compare through one integer
 power comparison, and any other pair is separated by a rational u/v whose
-position is checked through integer powers (count**v vs slice**u).
+position is checked through integer powers (count**v vs slice**u).  The walk
+memoizes each verdict against the incumbent by score and starts a fresh memo
+whenever the incumbent rises, so compare_scores sees each score at most once
+per incumbent.
 """
 
 from __future__ import annotations
@@ -46,6 +55,9 @@ __all__ = [
 
 _EXHAUSTIVE_CELL_LIMIT = 25  # (K+1)**2 above this forbids exhaustive mode
 _WITNESS_CAP = 64  # witnesses kept in a result, least first
+# the walk recurses once per choice group, so this keeps it well under the
+# default recursion limit of 1000
+_GROUP_LIMIT = 256
 
 
 def _normalized(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
@@ -178,6 +190,13 @@ class SearchSpec:
             )
         if self.node_budget is not None and self.node_budget < 1:
             raise ValueError(f"node_budget must be >= 1, got {self.node_budget}")
+        groups = cells
+        if self.require_difference_injective:
+            groups = 2 * self.alphabet_max + 1
+        if groups > _GROUP_LIMIT:
+            raise ValueError(
+                f"the walk allows at most {_GROUP_LIMIT} choice groups, got {groups}"
+            )
 
 
 @dataclass(frozen=True)
@@ -212,6 +231,18 @@ def _exponent(count: int, slice_size: int) -> float:
     return math.log(count) / math.log(slice_size) if count > 1 else 0.0
 
 
+class _Verdicts(dict):
+    """compare_scores(*score, *incumbent) per score, each computed once."""
+
+    def __init__(self, incumbent: tuple[int, int] | None) -> None:
+        super().__init__()
+        self.incumbent = incumbent
+
+    def __missing__(self, score: tuple[int, int]) -> int:
+        sign = self[score] = compare_scores(*score, *self.incumbent)
+        return sign
+
+
 def search(spec: SearchSpec) -> SearchResult:
     """Explore the pattern space and return the best exponent with witnesses.
 
@@ -220,62 +251,87 @@ def search(spec: SearchSpec) -> SearchResult:
     """
     k = spec.alphabet_max
     if spec.require_difference_injective:
-        groups = [
+        cell_groups = [
             [(x, x - d) for x in range(max(0, d), min(k, k + d) + 1)]
             for d in range(-k, k + 1)
         ]
     else:
-        groups = [[(x, y)] for x in range(k + 1) for y in range(k + 1)]
+        cell_groups = [[(x, y)] for x in range(k + 1) for y in range(k + 1)]
+    # one block of tally slots per form; the budgeted slices come first and
+    # the differences last, so sizes[-1] is #differences
+    forms = [lambda x, y: x, lambda x, y: y, lambda x, y: x + y]
+    if spec.constrain_d:
+        forms.append(lambda x, y: x + 2 * y)
+    forms.append(lambda x, y: x - y + k)
+    width = 3 * k + 1  # every form's value lies in 0..3k
+    groups = [
+        [
+            (cell, tuple((j, j * width + f(*cell)) for j, f in enumerate(forms)))
+            for cell in group
+        ]
+        for group in cell_groups
+    ]
+    last = len(groups)
+    budget = spec.node_budget
     prune = spec.mode == "branch-bound"
+    tally = [0] * (len(forms) * width)  # cells chosen per form value
+    sizes = [0] * len(forms)  # distinct values per form
     chosen: list[tuple[int, int]] = []
     nodes = 0
     exhausted = False
     best: tuple[int, int] | None = None  # (#differences, max slice)
+    verdicts = _Verdicts(best)
     ties: dict[tuple[tuple[int, int], ...], DigitPattern] = {}  # by canonical pairs
 
-    def descend(index: int) -> None:
-        nonlocal nodes, exhausted, best, ties
+    def descend(index: int, slice_size: int) -> None:
+        nonlocal nodes, exhausted, best, ties, verdicts
         if exhausted:
             return
         nodes += 1
-        if spec.node_budget is not None and nodes > spec.node_budget:
+        if budget is not None and nodes > budget:
             exhausted = True
             return
-        if index == len(groups):
-            slice_size = max_slice(chosen, spec.constrain_d)
+        if index == last:
             if slice_size < 2:
                 return
-            score = (len({x - y for x, y in chosen}), slice_size)
-            verdict = 1 if best is None else compare_scores(*score, *best)
-            if verdict < 0:
+            score = (sizes[-1], slice_size)
+            sign = 1 if best is None else verdicts[score]
+            if sign < 0:
                 return
             # only ties and new bests are canonicalized: scores are
             # symmetry-invariant and best only rises, so a class that lost
             # once can never tie later
             pattern = canonicalize(DigitPattern(tuple(chosen), spec.constrain_d))
-            if verdict > 0:
-                best, ties = score, {}
+            if sign > 0:
+                best, ties, verdicts = score, {}, _Verdicts(score)
             ties.setdefault(pattern.pairs, pattern)
             return
-        if prune and chosen and best is not None:
-            slice_size = max_slice(chosen, spec.constrain_d)
-            # prune only strictly dominated subtrees: slices are monotone
-            # under adding cells, so a tie here may still hide a witness
-            if (
-                slice_size >= 2
-                and compare_scores(len(chosen) + len(groups) - index, slice_size, *best)
-                < 0
-            ):
-                return
-        descend(index + 1)
-        for cell in groups[index]:
+        # prune only strictly dominated subtrees: slices are monotone under
+        # adding cells, so a tie here may still hide a witness
+        if (
+            prune
+            and best is not None
+            and slice_size >= 2
+            and verdicts[len(chosen) + last - index, slice_size] < 0
+        ):
+            return
+        descend(index + 1, slice_size)
+        for cell, slots in groups[index]:
             if exhausted:
                 return
+            for j, slot in slots:
+                if not tally[slot]:
+                    sizes[j] += 1
+                tally[slot] += 1
             chosen.append(cell)
-            descend(index + 1)
+            descend(index + 1, max(sizes[:-1]))
             chosen.pop()
+            for j, slot in slots:
+                tally[slot] -= 1
+                if not tally[slot]:
+                    sizes[j] -= 1
 
-    descend(0)
+    descend(0, 0)
     witnesses = sorted(ties.values(), key=lambda p: (len(p.pairs), p.pairs))
     return SearchResult(tuple(witnesses[:_WITNESS_CAP]), not exhausted, nodes, best)
 

@@ -53,3 +53,43 @@ K5_WITNESSES = frozenset(
     }
 )
 K5_BRANCH_BOUND_NODES = 99770
+
+# alphabet {0..6}, difference-injective, no skew constraint, branch-bound;
+# this and the K=5 constrained walk below were recorded by the walk that
+# rebuilt the slice sets at every node, before the walk kept slice tallies
+K6_BEST_SCORE = (10, 4)
+K6_WITNESSES = frozenset(
+    {
+        ((0, 1), (0, 2), (0, 5), (1, 0), (1, 1), (1, 5), (4, 1), (4, 2), (5, 0), (5, 1)),
+        ((0, 1), (0, 2), (0, 6), (1, 0), (1, 1), (1, 6), (5, 1), (5, 2), (6, 0), (6, 1)),
+        ((0, 1), (0, 4), (0, 5), (1, 0), (1, 4), (3, 1), (3, 5), (4, 0), (4, 1), (4, 4)),
+        ((0, 1), (0, 4), (1, 0), (1, 3), (1, 4), (4, 0), (4, 1), (4, 4), (5, 0), (5, 3)),
+        ((0, 1), (0, 5), (0, 6), (1, 0), (1, 5), (4, 1), (4, 6), (5, 0), (5, 1), (5, 5)),
+        ((0, 1), (0, 5), (1, 0), (1, 1), (1, 4), (1, 5), (2, 0), (2, 4), (5, 0), (5, 1)),
+        ((0, 1), (0, 5), (1, 0), (1, 4), (1, 5), (5, 0), (5, 1), (5, 5), (6, 0), (6, 4)),
+        ((0, 1), (0, 6), (1, 0), (1, 1), (1, 5), (1, 6), (2, 0), (2, 5), (6, 0), (6, 1)),
+        ((0, 2), (0, 4), (0, 5), (2, 0), (2, 2), (2, 5), (3, 2), (3, 4), (5, 0), (5, 2)),
+        ((0, 2), (0, 5), (2, 0), (2, 2), (2, 3), (2, 5), (4, 0), (4, 3), (5, 0), (5, 2)),
+        ((0, 3), (0, 4), (0, 6), (1, 3), (1, 6), (3, 0), (3, 3), (3, 4), (4, 0), (4, 3)),
+        ((0, 3), (0, 4), (2, 1), (2, 3), (2, 4), (3, 0), (3, 1), (3, 3), (5, 0), (5, 1)),
+        ((0, 3), (0, 4), (2, 1), (2, 4), (3, 0), (3, 1), (3, 3), (3, 4), (6, 0), (6, 1)),
+        ((0, 3), (0, 5), (0, 6), (2, 3), (2, 6), (3, 0), (3, 3), (3, 5), (5, 0), (5, 3)),
+        ((0, 3), (0, 5), (1, 2), (1, 3), (1, 5), (3, 0), (3, 2), (3, 3), (4, 0), (4, 2)),
+        ((0, 3), (0, 5), (1, 2), (1, 5), (3, 0), (3, 2), (3, 3), (3, 5), (6, 0), (6, 2)),
+    }
+)
+K6_BRANCH_BOUND_NODES = 1008781
+
+# alphabet {0..5}, difference-injective, skew slice constrained, branch-bound
+K5_CONSTRAINED_BEST_SCORE = (8, 4)
+K5_CONSTRAINED_WITNESSES = frozenset(
+    {
+        ((0, 1), (0, 2), (0, 3), (2, 0), (2, 1), (2, 2), (3, 0), (4, 0)),
+        ((0, 2), (0, 3), (1, 2), (2, 0), (2, 1), (2, 2), (4, 0), (4, 1)),
+        ((0, 2), (0, 3), (2, 0), (2, 1), (2, 2), (2, 3), (4, 0), (4, 1)),
+        ((0, 2), (0, 3), (2, 0), (2, 1), (2, 2), (4, 0), (4, 1), (5, 0)),
+        ((0, 2), (0, 3), (2, 1), (2, 2), (2, 3), (4, 0), (4, 1), (5, 0)),
+        ((0, 3), (1, 1), (1, 2), (1, 3), (3, 0), (3, 1), (3, 2), (5, 0)),
+    }
+)
+K5_CONSTRAINED_BRANCH_BOUND_NODES = 145162

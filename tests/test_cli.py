@@ -303,6 +303,16 @@ def test_search_exhaustive_too_large_exit_code(capsys):
     assert err.startswith("error:") and "25 cells" in err
 
 
+def test_search_too_deep_walk_exit_code(capsys):
+    code, stdout, err = run(
+        capsys, ["search", "--K", "600", "--mode", "branch-bound", "--budget", "5000"]
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error:") and "choice groups" in err
+    assert err.count("\n") == 1
+
+
 def test_search_branch_bound_constrained(capsys):
     code, stdout, _ = run(
         capsys,

@@ -282,6 +282,71 @@ def test_k5_branch_bound_frozen_optimum():
     assert certify(result, spec).ok
 
 
+def test_k6_branch_bound_frozen_optimum():
+    spec = SearchSpec(alphabet_max=6, mode="branch-bound")
+    result = search(spec)
+    assert result.exhaustive
+    assert result.nodes_explored == frozen.K6_BRANCH_BOUND_NODES
+    assert result.best_score == frozen.K6_BEST_SCORE
+    assert len(result.witnesses) == 16
+    assert {w.pairs for w in result.witnesses} == frozen.K6_WITNESSES
+    # every K=5 optimum still fits in the larger alphabet
+    assert frozen.K5_WITNESSES <= frozen.K6_WITNESSES
+    assert certify(result, spec).ok
+
+
+def test_k5_constrained_branch_bound_frozen_optimum():
+    spec = SearchSpec(alphabet_max=5, constrain_d=True, mode="branch-bound")
+    result = search(spec)
+    assert result.exhaustive
+    assert result.nodes_explored == frozen.K5_CONSTRAINED_BRANCH_BOUND_NODES
+    assert result.best_score == frozen.K5_CONSTRAINED_BEST_SCORE
+    assert {w.pairs for w in result.witnesses} == frozen.K5_CONSTRAINED_WITNESSES
+    # the K=4 optima fit in the larger alphabet, so the exponent stays 1.5
+    assert frozen.K4_WITNESSES <= frozen.K5_CONSTRAINED_WITNESSES
+    assert certify(result, spec).ok
+
+
+def test_walk_compares_each_score_once_per_incumbent(monkeypatch):
+    calls = []
+    compare = search_module.compare_scores
+    monkeypatch.setattr(
+        search_module,
+        "compare_scores",
+        lambda *args: calls.append(args) or compare(*args),
+    )
+    result = search(SearchSpec(alphabet_max=5, mode="branch-bound"))
+    assert result.nodes_explored == frozen.K5_BRANCH_BOUND_NODES
+    assert {w.pairs for w in result.witnesses} == frozen.K5_WITNESSES
+    # the walk resolves compare_scores through the module, and never asks
+    # the same question twice
+    assert 0 < len(calls) == len(set(calls)) < 100
+
+
+def test_spec_rejects_walks_deeper_than_the_group_limit():
+    limit = search_module._GROUP_LIMIT
+    with pytest.raises(ValueError, match="choice groups"):
+        SearchSpec(alphabet_max=600, mode="branch-bound", node_budget=5000)
+    with pytest.raises(ValueError, match="choice groups"):
+        SearchSpec(
+            alphabet_max=31, mode="branch-bound", require_difference_injective=False
+        )
+    # the deepest walks allowed run; skipping every group first, the walk
+    # reaches full depth within the budget
+    for spec in (
+        SearchSpec(alphabet_max=(limit - 1) // 2, mode="branch-bound", node_budget=5000),
+        SearchSpec(
+            alphabet_max=math.isqrt(limit) - 1,
+            mode="branch-bound",
+            node_budget=5000,
+            require_difference_injective=False,
+        ),
+    ):
+        result = search(spec)
+        assert not result.exhaustive
+        assert result.nodes_explored == 5001
+
+
 def test_node_budget_flags_result():
     result = search(SearchSpec(alphabet_max=3, node_budget=50))
     assert not result.exhaustive
@@ -320,6 +385,78 @@ def test_all_subsets_mode_matches_brute_force():
                 best = ratio
     assert best is not None
     assert abs(result.best_exponent - best) < 1e-12
+
+
+def orbit_representative(cells) -> tuple[tuple[int, int], ...]:
+    """Least of the pattern and its joint reflection, both moved to the origin."""
+
+    def to_origin(points):
+        mx, my = min(x for x, _ in points), min(y for _, y in points)
+        return tuple(sorted({(x - mx, y - my) for x, y in points}))
+
+    base = to_origin(cells)
+    top_x, top_y = max(x for x, _ in base), max(y for _, y in base)
+    return min(base, to_origin({(top_x - x, top_y - y) for x, y in base}))
+
+
+def brute_force_optimum(subsets, constrain_d):
+    """Best score and maximal classes, from set comprehensions and floats.
+
+    Scores are ranked by the float log ratio; for numbers this small two
+    distinct ratios differ by far more than 1e-9.
+    """
+    scored = []
+    for cells in subsets:
+        slices = [
+            {x for x, _ in cells},
+            {y for _, y in cells},
+            {x + y for x, y in cells},
+        ]
+        if constrain_d:
+            slices.append({x + 2 * y for x, y in cells})
+        slice_size = max(len(s) for s in slices)
+        if slice_size >= 2:
+            count = len({x - y for x, y in cells})
+            ratio = math.log(count) / math.log(slice_size)
+            scored.append((ratio, (count, slice_size), cells))
+    top = max(ratio for ratio, _, _ in scored)
+    maximal = [(score, cells) for ratio, score, cells in scored if ratio > top - 1e-9]
+    return {score for score, _ in maximal}, {orbit_representative(c) for _, c in maximal}
+
+
+@pytest.mark.parametrize("constrain_d", [False, True])
+def test_k3_injective_walk_matches_brute_force(constrain_d):
+    """Every difference-injective subset of the 4x4 grid, scored from scratch."""
+    k = 3
+    diagonals = [
+        [None] + [(x, y) for x in range(k + 1) for y in range(k + 1) if x - y == d]
+        for d in range(-k, k + 1)
+    ]
+    subsets = [
+        {cell for cell in pick if cell is not None}
+        for pick in itertools.product(*diagonals)
+    ]
+    assert len(subsets) == 2880
+    scores, classes = brute_force_optimum(subsets, constrain_d)
+    result = search(SearchSpec(alphabet_max=k, constrain_d=constrain_d))
+    assert result.exhaustive
+    assert scores == {result.best_score}
+    assert classes == {w.pairs for w in result.witnesses}
+
+
+def test_k2_noninjective_walk_matches_brute_force():
+    """Every nonempty subset of the 3x3 grid, scored by distinct differences."""
+    grid = [(x, y) for x in range(3) for y in range(3)]
+    subsets = [
+        {cell for i, cell in enumerate(grid) if mask >> i & 1}
+        for mask in range(1, 1 << len(grid))
+    ]
+    assert len(subsets) == 511
+    scores, classes = brute_force_optimum(subsets, constrain_d=False)
+    result = search(SearchSpec(alphabet_max=2, require_difference_injective=False))
+    assert result.exhaustive
+    assert scores == {result.best_score}
+    assert classes == {w.pairs for w in result.witnesses}
 
 
 def test_search_payload_shape():
