@@ -39,7 +39,7 @@ from .errors import (
     InvalidDimension,
     MalformedInstance,
 )
-from .instances import load_instance, save_instance, slice_sizes
+from .instances import load_instance, read_json, save_instance, slice_sizes
 from .kakeya import dimension_report
 from .patterns import EXAMPLE_ONE_PATTERN, EXAMPLE_TWO_PATTERN, DigitPattern, tensor_pattern
 from .proofs import DEFAULT_WEDGE_CAP, verify_four_slice_chain, verify_three_slice_chain
@@ -129,8 +129,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     else:
         if args.pattern_file is None:
             raise MalformedInstance("pattern-file construction needs --pattern-file")
-        with open(args.pattern_file, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = read_json(args.pattern_file)
         try:
             pattern = DigitPattern.from_json_dict(doc)
         except (TypeError, ValueError) as exc:
@@ -181,22 +180,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all_hold else EXIT_FAILURE
 
 
-def _lemma_counts(problem: ChainProblem, cap: int) -> tuple[int, Fraction, int | str]:
-    """DP chain count, its lower bound, and the naive recount or "skipped".
+def _lemma_counts(problem: ChainProblem, cap: int) -> tuple[int, Fraction, int | str, bool]:
+    """DP chain count, its lower bound, the naive recount or "skipped", and the verdict.
 
     The naive recount runs only when #items**(steps+1) tuples fit in cap.
+    The verdict holds when the count reaches the bound and the naive
+    recount, if it ran, agrees with the count.
     """
     count = chain_count_dp(problem)
     bound = chain_lower_bound(problem)
     tuples = len(problem.items) ** (problem.steps + 1)
     naive = chain_count_naive(problem, cap=cap) if tuples <= cap else "skipped"
-    return count, bound, naive
+    return count, bound, naive, count >= bound and naive in ("skipped", count)
 
 
 def _lemma_case(seed: int, cap: int, index: int) -> dict:
     rng = random.Random(seed * 1_000_003 + index)
     problem = random_chain_problem(rng)
-    count, bound, naive = _lemma_counts(problem, cap)
+    count, bound, naive, ok = _lemma_counts(problem, cap)
     return {
         "index": index,
         "items": len(problem.items),
@@ -205,13 +206,12 @@ def _lemma_case(seed: int, cap: int, index: int) -> dict:
         "bound_num": bound.numerator,
         "bound_den": bound.denominator,
         "naive": naive,
-        "ok": count >= bound and naive in ("skipped", count),
+        "ok": ok,
     }
 
 
 def _load_chain_problem(path: str) -> ChainProblem:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     try:
         items = [tuple(x) if isinstance(x, list) else x for x in doc["items"]]
         labelings = []
@@ -239,7 +239,7 @@ def _cmd_lemma(args: argparse.Namespace) -> int:
         raise MalformedInstance(f"--random must be >= 1, got {args.random}")
     if args.problem_file is not None:
         problem = _load_chain_problem(args.problem_file)
-        count, bound, naive = _lemma_counts(problem, args.cap)
+        count, bound, naive, ok = _lemma_counts(problem, args.cap)
         payload = {
             "items": len(problem.items),
             "steps": problem.steps,
@@ -249,7 +249,7 @@ def _cmd_lemma(args: argparse.Namespace) -> int:
             "bound_holds": count >= bound,
         }
         _emit(args.output, payload)
-        return EXIT_OK if payload["bound_holds"] else EXIT_FAILURE
+        return EXIT_OK if ok else EXIT_FAILURE
     cases = [_lemma_case(args.seed, args.cap, i) for i in range(args.random)]
     all_ok = all(case["ok"] for case in cases)
     payload = {"count": len(cases), "all_ok": all_ok, "cases": cases}
@@ -369,13 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MalformedInstance, InvalidBase, InvalidDimension) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except OSError as exc:
+    except (MalformedInstance, InvalidBase, InvalidDimension, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except HypothesisViolated as exc:

@@ -1,8 +1,9 @@
 """Instances: finite sets A, B and a relation G inside A x B over an ambient group.
 
 The objects of study are the projections {alpha*a + beta*b : (a, b) in G}
-under integer linear forms.  Three forms matter here: (1, 1) gives the sum
-slice C, (1, -1) the difference set, and (1, 2) the skew slice D.
+under integer linear forms.  SLICES is the one table of budgeted slices:
+A = (1, 0), B = (0, 1), the sum slice C = (1, 1) and the skew slice
+D = (1, 2).  The difference set is the projection under (1, -1).
 """
 
 from __future__ import annotations
@@ -16,12 +17,15 @@ from .groups import AmbientGroup
 __all__ = [
     "DIFFERENCE",
     "SKEW_SUM",
+    "SLICES",
     "SUM",
     "Instance",
     "LinearForm",
+    "budgeted_slices",
     "is_difference_injective",
     "load_instance",
     "project",
+    "read_json",
     "reduce_to_difference_injective",
     "require_hypotheses",
     "save_instance",
@@ -40,13 +44,26 @@ class LinearForm:
         if self.alpha == 0 and self.beta == 0:
             raise ValueError("linear form must have a nonzero coefficient")
 
+    def __call__(self, a: int, b: int) -> int:
+        """The value over the integers."""
+        return self.alpha * a + self.beta * b
+
     def apply(self, group: AmbientGroup, a: int, b: int) -> int:
-        return group.add(group.scale(self.alpha, a), group.scale(self.beta, b))
+        return group.canon(self(a, b))
 
 
 SUM = LinearForm(1, 1)
 DIFFERENCE = LinearForm(1, -1)
 SKEW_SUM = LinearForm(1, 2)
+
+# The budgeted slices, in report order.  Instances, patterns and the search
+# walk all read their slice rules from here.
+SLICES = {"A": LinearForm(1, 0), "B": LinearForm(0, 1), "C": SUM, "D": SKEW_SUM}
+
+
+def budgeted_slices(with_d: bool = False) -> dict[str, LinearForm]:
+    """The slices a budget bounds: A, B and C, and D only when with_d."""
+    return {name: form for name, form in SLICES.items() if with_d or name != "D"}
 
 
 def _check_element(group: AmbientGroup, x: object, what: str) -> int:
@@ -130,13 +147,25 @@ class Instance:
         )
 
 
-def load_instance(path: str) -> Instance:
+def _reject_constant(name: str) -> float:
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def read_json(path: str) -> object:
+    """The JSON document at path.
+
+    Anything but UTF-8 JSON without NaN or Infinity, nested no deeper than
+    the decoder allows, raises MalformedInstance.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh, parse_constant=_reject_constant)
+        except (ValueError, RecursionError) as exc:  # JSON and UTF-8 errors
             raise MalformedInstance(f"{path}: not valid JSON ({exc})") from exc
-    return Instance.from_json_dict(doc)
+
+
+def load_instance(path: str) -> Instance:
+    return Instance.from_json_dict(read_json(path))
 
 
 def save_instance(inst: Instance, path: str) -> None:
@@ -152,18 +181,16 @@ def project(inst: Instance, form: LinearForm) -> frozenset[int]:
 
 
 def slice_sizes(inst: Instance, with_d: bool = False) -> dict[str, int]:
-    """#A, #B, #C and, when with_d, #D.
+    """The size of each slice in budgeted_slices(with_d).
 
-    C = project under (1, 1) and D = project under (1, 2).
+    A and B are the instance's own sets, which may hold elements no pair of
+    G uses; C and D project G under their forms.
     """
-    sizes = {
-        "A": len(inst.a_set),
-        "B": len(inst.b_set),
-        "C": len(project(inst, SUM)),
+    own = {"A": inst.a_set, "B": inst.b_set}
+    return {
+        name: len(own[name]) if name in own else len(project(inst, form))
+        for name, form in budgeted_slices(with_d).items()
     }
-    if with_d:
-        sizes["D"] = len(project(inst, SKEW_SUM))
-    return sizes
 
 
 def require_hypotheses(inst: Instance, budget: int, with_d: bool = False) -> dict[str, int]:

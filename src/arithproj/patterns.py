@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import InstanceTooLarge, InvalidBase
 from .groups import ELEMENT_MAGNITUDE_CAP, AmbientGroup
-from .instances import Instance
+from .instances import Instance, budgeted_slices
 
 __all__ = [
     "DEFAULT_PAIR_CAP",
@@ -59,20 +59,12 @@ class DigitPattern:
 
     # Slices are recomputed on demand, never stored, so they cannot go stale.
     @property
-    def x_alphabet(self) -> tuple[int, ...]:
-        return tuple(sorted({x for x, _ in self.pairs}))
-
-    @property
-    def y_alphabet(self) -> tuple[int, ...]:
-        return tuple(sorted({y for _, y in self.pairs}))
-
-    @property
-    def sum_slice(self) -> tuple[int, ...]:
-        return tuple(sorted({x + y for x, y in self.pairs}))
-
-    @property
-    def skew_slice(self) -> tuple[int, ...]:
-        return tuple(sorted({x + 2 * y for x, y in self.pairs}))
+    def slices(self) -> dict[str, tuple[int, ...]]:
+        """Each budgeted slice's sorted values: A, B, C and, if constrain_d, D."""
+        return {
+            name: tuple(sorted({form(x, y) for x, y in self.pairs}))
+            for name, form in budgeted_slices(self.constrain_d).items()
+        }
 
     @property
     def difference_slice(self) -> tuple[int, ...]:
@@ -115,28 +107,21 @@ EXAMPLE_TWO_PATTERN = DigitPattern(
 def min_base(pattern: DigitPattern) -> int:
     """Least base at which tensoring the pattern is carry-free.
 
-    Sums (and skew sums, when tracked) must stay below the base so they are
-    single digits, and the difference alphabet must fit in a window of width
-    base - 1 so distinct signed digit strings give distinct differences.
+    Every budgeted slice must stay below the base so its values are single
+    digits (A and B never exceed C), and the difference alphabet must fit in
+    a window of width base - 1 so distinct signed digit strings give
+    distinct differences.
     """
     diffs = pattern.difference_slice
-    needed = max(x + y for x, y in pattern.pairs)
-    if pattern.constrain_d:
-        needed = max(needed, max(x + 2 * y for x, y in pattern.pairs))
-    needed = max(needed, diffs[-1] - diffs[0])
-    return max(2, 1 + needed)
+    needed = max(values[-1] for values in pattern.slices.values())
+    return max(2, 1 + needed, 1 + diffs[-1] - diffs[0])
 
 
 def max_slice(pairs: Collection[tuple[int, int]], constrain_d: bool = False) -> int:
     """Largest budgeted slice of the pairs: A, B, C and, when constrain_d, D."""
-    sizes = [
-        len({x for x, _ in pairs}),
-        len({y for _, y in pairs}),
-        len({x + y for x, y in pairs}),
-    ]
-    if constrain_d:
-        sizes.append(len({x + 2 * y for x, y in pairs}))
-    return max(sizes)
+    return max(
+        len({form(x, y) for x, y in pairs}) for form in budgeted_slices(constrain_d).values()
+    )
 
 
 def tensor_sizes(pattern: DigitPattern, length: int) -> dict[str, int]:
@@ -148,15 +133,9 @@ def tensor_sizes(pattern: DigitPattern, length: int) -> dict[str, int]:
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    sizes = {
-        "A": len(pattern.x_alphabet) ** length,
-        "B": len(pattern.y_alphabet) ** length,
-        "C": len(pattern.sum_slice) ** length,
-        "G": len(pattern.pairs) ** length,
-        "differences": len(pattern.difference_slice) ** length,
-    }
-    if pattern.constrain_d:
-        sizes["D"] = len(pattern.skew_slice) ** length
+    sizes = {name: len(values) ** length for name, values in pattern.slices.items()}
+    sizes["G"] = len(pattern.pairs) ** length
+    sizes["differences"] = len(pattern.difference_slice) ** length
     return sizes
 
 

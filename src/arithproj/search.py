@@ -14,14 +14,14 @@ A group is a diagonal x - y = d in the difference-injective space and a
 single cell (in x-major order) otherwise.  The walk recurses once per group,
 so a spec may have at most _GROUP_LIMIT groups.
 
-The walk keeps one flat tally list with a block of slots per form (x, y,
-x + y, x + 2y when D is constrained, and x - y), and the number of distinct
-values per form.  Pushing or popping a cell updates its precomputed slots,
-so the max slice and #differences of the chosen cells are read without
-rebuilding any set.  Branch-and-bound mode prunes a subtree only when even
-one more pair per remaining group could not reach the incumbent's score.
-Leaves are scored from the tallies; only a leaf that ties or beats the
-incumbent is built as a pattern and canonicalized.
+The walk keeps one flat tally list with a block of slots per form (the
+budgeted slices, then the differences) and the number of distinct values
+per form.  Pushing or popping a cell updates its precomputed slots, so the
+max slice and #differences of the chosen cells are read without rebuilding
+any set.  Branch-and-bound mode prunes a subtree only when even one more
+pair per remaining group could not reach the incumbent's score.  Leaves are
+scored from the tallies; only a leaf that ties or beats the incumbent is
+built as a pattern and canonicalized.
 
 Score comparisons are decided exactly by the root rule of compare_scores:
 log ratios whose numbers share primitive roots compare through one integer
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArithprojError
-from .instances import DIFFERENCE, project, slice_sizes
+from .instances import DIFFERENCE, budgeted_slices, project, slice_sizes
 from .patterns import DigitPattern, max_slice, tensor_pattern, tensor_sizes
 
 __all__ = [
@@ -259,14 +259,11 @@ def search(spec: SearchSpec) -> SearchResult:
         cell_groups = [[(x, y)] for x in range(k + 1) for y in range(k + 1)]
     # one block of tally slots per form; the budgeted slices come first and
     # the differences last, so sizes[-1] is #differences
-    forms = [lambda x, y: x, lambda x, y: y, lambda x, y: x + y]
-    if spec.constrain_d:
-        forms.append(lambda x, y: x + 2 * y)
-    forms.append(lambda x, y: x - y + k)
-    width = 3 * k + 1  # every form's value lies in 0..3k
+    forms = [*budgeted_slices(spec.constrain_d).values(), DIFFERENCE]
+    width = 4 * k + 1  # every form's value, offset by k, lies in 0..4k
     groups = [
         [
-            (cell, tuple((j, j * width + f(*cell)) for j, f in enumerate(forms)))
+            (cell, tuple((j, j * width + k + f(*cell)) for j, f in enumerate(forms)))
             for cell in group
         ]
         for group in cell_groups
@@ -356,6 +353,8 @@ def certify(result: SearchResult, spec: SearchSpec) -> CertificationReport:
     best_exponent is derived from best_score, so it needs no check.
     """
     diagnostics: list[str] = []
+    if result.best_score is not None and not result.witnesses:
+        diagnostics.append(f"best score {result.best_score} has no witness")
     for i, witness in enumerate(result.witnesses):
         tag = f"witness {i}"
         if any(

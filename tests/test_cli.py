@@ -168,6 +168,27 @@ def test_verify_malformed_file(tmp_path, capsys):
     assert "error" in err
     code, _, _ = run(capsys, ["verify", str(tmp_path / "missing.json")])
     assert code == 2
+    # every input document goes through one reader, so each reader rejects
+    # bad bytes, runaway nesting and non-finite numbers with one error line
+    documents = (
+        b"\xff\xfe",
+        b"[" * 100_000,
+        b'{"items": [1, 2], "labelings": [{"labels": [NaN, NaN]}]}',
+        b'{"pairs": [[0, Infinity]]}',
+        b"[-Infinity]",
+    )
+    readers = (
+        ["verify"],
+        ["lemma"],
+        ["construct", "pattern-file", "--n", "1", "--pattern-file"],
+    )
+    for content in documents:
+        bad.write_bytes(content)
+        for reader in readers:
+            code, stdout, err = run(capsys, [*reader, str(bad)])
+            assert code == 2, (content[:20], reader)
+            assert stdout == ""
+            assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_verify_non_integer_budget_exit_code(tmp_path, capsys):
@@ -200,6 +221,21 @@ def test_lemma_problem_file(tmp_path, capsys):
     payload = json.loads(stdout)
     assert payload["count"] == 5
     assert payload["naive"] == "skipped"
+
+
+def test_lemma_naive_mismatch_exit_code(tmp_path, capsys, monkeypatch):
+    doc = {"items": [0, 1, 2], "labelings": [{"labels": ["x", "x", "y"]}]}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr("arithproj.cli.chain_count_naive", lambda problem, cap: 4)
+    code, stdout, _ = run(capsys, ["lemma", str(path)])
+    assert code == 1
+    payload = json.loads(stdout)
+    assert (payload["count"], payload["naive"]) == (5, 4)
+    assert payload["bound_holds"] is True
+    code, stdout, _ = run(capsys, ["lemma", "--random", "3"])
+    assert code == 1
+    assert json.loads(stdout)["all_ok"] is False
 
 
 def test_lemma_non_integer_label_count_exit_code(tmp_path, capsys):

@@ -15,6 +15,7 @@ from arithproj.instances import (
     SUM,
     Instance,
     LinearForm,
+    budgeted_slices,
     is_difference_injective,
     load_instance,
     project,
@@ -44,8 +45,16 @@ def test_linear_form_apply():
     m = AmbientGroup.integers_mod(7)
     assert SKEW_SUM.apply(m, 4, 5) == 0
     assert LinearForm(3, -2).apply(Z, 1, 1) == 1
+    assert LinearForm(3, -2)(1, 5) == -7
+    assert LinearForm(3, -2).apply(m, 1, 5) == 0
     with pytest.raises(ValueError):
         LinearForm(0, 0)
+    # the budgeted slices, in report order; D only under with_d
+    assert budgeted_slices() == {
+        "A": LinearForm(1, 0), "B": LinearForm(0, 1), "C": SUM,
+    }
+    assert budgeted_slices(with_d=True) == {**budgeted_slices(), "D": SKEW_SUM}
+    assert list(budgeted_slices(with_d=True)) == ["A", "B", "C", "D"]
 
 
 def test_instance_sorts_and_dedupes():

@@ -36,15 +36,13 @@ def test_example_one_pattern_frozen():
     p = EXAMPLE_ONE_PATTERN
     assert p.pairs == ((0, 1), (0, 3), (1, 0), (1, 3), (3, 0), (3, 1))
     assert not p.constrain_d
-    assert p.x_alphabet == (0, 1, 3)
-    assert p.y_alphabet == (0, 1, 3)
-    assert p.sum_slice == (1, 3, 4)
+    assert p.slices == {"A": (0, 1, 3), "B": (0, 1, 3), "C": (1, 3, 4)}
     assert p.difference_slice == (-3, -2, -1, 1, 2, 3)
     assert p.difference_injective
     assert min_base(p) == 7
 
     assert len(p.pairs) == 6
-    assert len(p.x_alphabet) == len(p.y_alphabet) == len(p.sum_slice) == 3
+    assert {len(values) for values in p.slices.values()} == {3}
     assert max_slice(p.pairs, p.constrain_d) == 3
 
 
@@ -61,10 +59,12 @@ def test_example_two_pattern_frozen():
         (4, 1),
     )
     assert p.constrain_d
-    assert p.x_alphabet == (0, 2, 3, 4)
-    assert p.y_alphabet == (0, 1, 2, 3)
-    assert p.sum_slice == (2, 3, 4, 5)
-    assert p.skew_slice == (4, 5, 6, 8)
+    assert p.slices == {
+        "A": (0, 2, 3, 4),
+        "B": (0, 1, 2, 3),
+        "C": (2, 3, 4, 5),
+        "D": (4, 5, 6, 8),
+    }
     assert len(p.difference_slice) == 8
     assert p.difference_injective
     assert min_base(p) == 9
@@ -117,6 +117,8 @@ def test_tensor_sizes_random_patterns():
         for n in (1, 2):
             inst = tensor_pattern(pattern, n)
             expected = tensor_sizes(pattern, n)
+            assert len(inst.a_set) == expected["A"]
+            assert len(inst.b_set) == expected["B"]
             assert len(inst.pairs) == expected["G"]
             assert len(project(inst, SUM)) == expected["C"]
             assert len(project(inst, DIFFERENCE)) == expected["differences"]
@@ -125,6 +127,9 @@ def test_tensor_sizes_random_patterns():
                 assert "D" in expected
             else:
                 assert "D" not in expected
+        assert max_slice(pattern.pairs, pattern.constrain_d) == max(
+            len(values) for values in pattern.slices.values()
+        )
 
 
 def test_injectivity_lifts_to_tensors():

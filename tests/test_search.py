@@ -67,8 +67,9 @@ def test_canonicalize_preserves_statistics():
         )
         p = DigitPattern(pairs=tuple(cells), constrain_d=True)
         c = canonicalize(p)
-        for name in ("x_alphabet", "y_alphabet", "sum_slice", "skew_slice"):
-            assert len(getattr(p, name)) == len(getattr(c, name))
+        assert {name: len(values) for name, values in p.slices.items()} == {
+            name: len(values) for name, values in c.slices.items()
+        }
         assert len(p.difference_slice) == len(c.difference_slice)
         assert p.difference_injective == c.difference_injective
 
@@ -373,13 +374,14 @@ def test_all_subsets_mode_matches_brute_force():
     best = None
     for r in range(1, 5):
         for combo in itertools.combinations(cells, r):
-            p = DigitPattern(pairs=combo)
             slice_size = max(
-                len(p.x_alphabet), len(p.y_alphabet), len(p.sum_slice)
+                len({x for x, _ in combo}),
+                len({y for _, y in combo}),
+                len({x + y for x, y in combo}),
             )
             if slice_size < 2:
                 continue
-            count = len(p.difference_slice)
+            count = len({x - y for x, y in combo})
             ratio = math.log(count) / math.log(slice_size) if count > 1 else 0.0
             if best is None or ratio > best:
                 best = ratio
@@ -496,6 +498,11 @@ def test_certify_rejects_tampering():
     )
     report = certify(skewed, spec)
     assert not report.ok  # not canonical, not injective, wrong exponent
+
+    unwitnessed = SearchResult((), True, 0, (10, 4))
+    report = certify(unwitnessed, SearchSpec(alphabet_max=2))
+    assert not report.ok
+    assert any("no witness" in d for d in report.diagnostics)
 
 
 def test_certify_checks_exact_score():
