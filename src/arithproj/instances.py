@@ -216,8 +216,9 @@ def reduce_to_difference_injective(inst: Instance) -> Instance:
     """Keep one pair per distinct difference a - b.
 
     The kept pair is the lexicographically smallest with that difference, so
-    the result is deterministic and the map is idempotent.  The difference
-    projection is unchanged; no slice grows.
+    the result is deterministic and the map is idempotent: when no pair is
+    dropped, inst itself is returned.  The difference projection is
+    unchanged; no slice grows.
     """
     g = inst.group
     kept: dict[int, tuple[int, int]] = {}
@@ -225,6 +226,8 @@ def reduce_to_difference_injective(inst: Instance) -> Instance:
         delta = g.sub(pair[0], pair[1])
         if delta not in kept:
             kept[delta] = pair
+    if len(kept) == len(inst.pairs):
+        return inst
     return Instance(
         group=inst.group,
         a_set=inst.a_set,

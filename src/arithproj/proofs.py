@@ -21,17 +21,23 @@ All denominators and fractional powers are handled exactly: x <= N^(p/q) is
 evaluated as x**q <= N**p over arbitrary-width integers.
 
 The ladder counts stream: count_linked_quads and count_skew_collisions run
-the fiber-sum recursion of chain_count_dp directly over the rows of
-inst.partners(), recomputing each wedge's labels in every pass and keeping
-only label counters, so memory is O(#G + #labels) rather than O(#wedges).
-The wedge cap still bounds the work: both raise EnumerationCapExceeded when
-the wedge count exceeds it.  linked_quad_problem and skew_collision_problem
-build the same counts as explicit ChainProblems for cross-checking.
+the fiber-sum recursion of chain_count_dp directly over the rows of one
+inst.partners() build, recomputing each wedge's labels in every pass and
+keeping only label counters, so memory is O(#G + #labels) rather than
+O(#wedges).  count_linked_quads counts the fibers of (a+b, a+b2) and of
+(a+b, b2) in C, sums the first over the (b, b2) fibers in one Python pass
+over unordered partner pairs (that sum is symmetric in b and b2), mirrors
+it, and ends in a dot product over the wedges.  The wedge cap still bounds
+the work: both check it on their partner rows and raise
+EnumerationCapExceeded before any counting.  linked_quad_problem and
+skew_collision_problem build the same counts as explicit ChainProblems for
+cross-checking.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,16 +98,18 @@ def wedge_count(inst: Instance) -> int:
     return sum(len(ys) ** 2 for ys in inst.partners().values())
 
 
-def _check_wedge_cap(inst: Instance, cap: int) -> None:
-    total = wedge_count(inst)
+def _capped_partners(inst: Instance, cap: int) -> dict[int, tuple[int, ...]]:
+    """inst.partners(), once its wedge count is known to be at most cap."""
+    rows = inst.partners()
+    total = sum(len(ys) ** 2 for ys in rows.values())
     if total > cap:
         raise EnumerationCapExceeded(f"{total} wedges exceed cap {cap}")
+    return rows
 
 
 def enumerate_wedges(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> tuple[Wedge, ...]:
-    _check_wedge_cap(inst, cap)
     out = []
-    for a, ys in sorted(inst.partners().items()):
+    for a, ys in sorted(_capped_partners(inst, cap).items()):
         for b in ys:
             for b2 in ys:
                 out.append(Wedge(a, b, b2))
@@ -125,30 +133,32 @@ def linked_quad_problem(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> ChainPr
 def count_linked_quads(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> int:
     """Chains of the three linked_quad_problem labelings, by fiber sums.
 
-    c1 is the fiber size of (a+b, a+b2); c2 sums c1 over the fibers of
-    (b, b2); c3 sums c2 over the fibers of (a+b, b2), whose sizes are n3.
-    Each chain ends in some fiber of the last label, so the count is
-    sum(c3[l] * n3[l]).
+    c1 and n3 are the fiber sizes of (a+b, a+b2) and (a+b, b2), both
+    counted in C.  c2 sums c1 over the fibers of (b, b2); c1 is symmetric
+    under swapping b and b2, so c2 is too, and it is summed over the
+    unordered partner pairs of each row, then mirrored.  A third wedge
+    (a, b, b2) ends c2[(b, b2)] chain heads and starts n3[(a+b, b2)] last
+    wedges, so the count is the sum over the wedges of the product.
     """
-    _check_wedge_cap(inst, cap)
     g = inst.group
-    rows = [(ys, [g.add(a, b) for b in ys]) for a, ys in inst.partners().items()]
+    partners = _capped_partners(inst, cap)
+    rows = [(ys, [g.add(a, b) for b in ys]) for a, ys in partners.items()]
+    product, unordered = itertools.product, itertools.combinations_with_replacement
     c1: Counter = Counter()
-    for _, sums in rows:
-        c1.update(itertools.product(sums, sums))
-    c2: Counter = Counter()
-    for ys, sums in rows:
-        weights = map(c1.__getitem__, itertools.product(sums, sums))
-        for label, weight in zip(itertools.product(ys, ys), weights):
-            c2[label] += weight
-    c3: Counter = Counter()
     n3: Counter = Counter()
     for ys, sums in rows:
-        n3.update(itertools.product(sums, ys))
-        weights = map(c2.__getitem__, itertools.product(ys, ys))
-        for label, weight in zip(itertools.product(sums, ys), weights):
-            c3[label] += weight
-    return sum(weight * n3[label] for label, weight in c3.items())
+        c1.update(product(sums, sums))
+        n3.update(product(sums, ys))
+    c2: Counter = Counter()
+    for ys, sums in rows:  # ys is sorted, so every key has b <= b2
+        for label, weight in zip(unordered(ys, 2), map(c1.__getitem__, unordered(sums, 2))):
+            c2[label] += weight
+    c2.update({(b2, b): weight for (b, b2), weight in c2.items() if b != b2})
+    quads = 0
+    for ys, sums in rows:
+        last = map(n3.__getitem__, product(sums, ys))
+        quads += sum(map(operator.mul, last, map(c2.__getitem__, product(ys, ys))))
+    return quads
 
 
 def skew_collision_problem(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> ChainProblem:
@@ -165,10 +175,9 @@ def skew_collision_problem(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> Chai
 
 def count_skew_collisions(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> int:
     """Ordered wedge pairs sharing (a+2b, b2): the sum of squared fiber sizes."""
-    _check_wedge_cap(inst, cap)
     g = inst.group
     fibers: Counter = Counter()
-    for a, ys in inst.partners().items():
+    for a, ys in _capped_partners(inst, cap).items():
         fibers.update(itertools.product([g.add(a, g.scale(2, b)) for b in ys], ys))
     return sum(n * n for n in fibers.values())
 

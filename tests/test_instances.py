@@ -169,6 +169,20 @@ def test_reduce_keeps_lex_smallest_pair():
     assert reduced.b_set == inst.b_set
 
 
+def test_reduce_returns_injective_instance_itself():
+    inst = small_instance()
+    assert is_difference_injective(inst)
+    assert reduce_to_difference_injective(inst) is inst
+    clash = Instance(
+        group=Z, a_set=(0, 1, 2), b_set=(0, 1, 2), pairs=((0, 0), (1, 1), (2, 1))
+    )
+    reduced = reduce_to_difference_injective(clash)
+    assert reduced is not clash
+    assert isinstance(reduced, Instance)
+    assert len(reduced.pairs) < len(clash.pairs)
+    assert reduce_to_difference_injective(reduced) is reduced
+
+
 def test_reduce_properties_random():
     rng = random.Random(42)
     for _ in range(300):

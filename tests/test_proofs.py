@@ -20,6 +20,7 @@ from arithproj.instances import (
     SKEW_SUM,
     SUM,
     Instance,
+    is_difference_injective,
     project,
     reduce_to_difference_injective,
 )
@@ -135,6 +136,33 @@ def test_streaming_counts_match_chain_problems():
             skew_collision_problem(inst)
         )
     assert 0 < modular < 240
+
+
+def test_streaming_counts_match_chain_problems_unreduced():
+    """The fiber-sum symmetry needs no difference-injectivity: raw draws."""
+    rng = random.Random(53)
+    wrap = Instance(
+        group=AmbientGroup.integers_mod(7),
+        a_set=(3, 5),
+        b_set=(1, 2, 5, 6),
+        pairs=((3, 1), (3, 2), (3, 5), (3, 6), (5, 1), (5, 6)),
+    )
+    draws = [wrap] + [random_instance(rng, max_side=8) for _ in range(240)]
+    kinds = set()
+    saw_wrapped_row = saw_not_injective = False
+    for inst in draws:
+        g = inst.group
+        kinds.add(g.is_modular)
+        saw_not_injective = saw_not_injective or not is_difference_injective(inst)
+        for a, ys in inst.partners().items():
+            sums = [g.add(a, b) for b in ys]
+            saw_wrapped_row = saw_wrapped_row or sums != sorted(sums)
+        assert count_linked_quads(inst) == chain_count_dp(linked_quad_problem(inst))
+        assert count_skew_collisions(inst) == chain_count_dp(
+            skew_collision_problem(inst)
+        )
+    assert kinds == {False, True}
+    assert saw_wrapped_row and saw_not_injective
 
 
 def test_streaming_counts_are_multiplicative_on_tensors():
