@@ -176,8 +176,10 @@ def save_instance(inst: Instance, path: str) -> None:
 
 def project(inst: Instance, form: LinearForm) -> frozenset[int]:
     """The set {alpha*a + beta*b : (a, b) in G}."""
-    g = inst.group
-    return frozenset(form.apply(g, x, y) for x, y in inst.pairs)
+    alpha, beta, m = form.alpha, form.beta, inst.group.modulus
+    if m is None:
+        return frozenset(alpha * x + beta * y for x, y in inst.pairs)
+    return frozenset((alpha * x + beta * y) % m for x, y in inst.pairs)
 
 
 def slice_sizes(inst: Instance, with_d: bool = False) -> dict[str, int]:
@@ -220,12 +222,13 @@ def reduce_to_difference_injective(inst: Instance) -> Instance:
     dropped, inst itself is returned.  The difference projection is
     unchanged; no slice grows.
     """
-    g = inst.group
-    kept: dict[int, tuple[int, int]] = {}
-    for pair in inst.pairs:  # pairs are sorted, so first hit is lex-smallest
-        delta = g.sub(pair[0], pair[1])
-        if delta not in kept:
-            kept[delta] = pair
+    m = inst.group.modulus
+    # pairs are sorted and a later entry overwrites, so walking them in
+    # reverse keeps the lex-smallest pair of each difference
+    if m is None:
+        kept = {x - y: (x, y) for x, y in reversed(inst.pairs)}
+    else:
+        kept = {(x - y) % m: (x, y) for x, y in reversed(inst.pairs)}
     if len(kept) == len(inst.pairs):
         return inst
     return Instance(

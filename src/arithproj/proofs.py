@@ -22,23 +22,20 @@ evaluated as x**q <= N**p over arbitrary-width integers.
 
 The ladder counts stream: count_linked_quads and count_skew_collisions run
 the fiber-sum recursion of chain_count_dp directly over the rows of one
-inst.partners() build, recomputing each wedge's labels in every pass and
-keeping only label counters, so memory is O(#G + #labels) rather than
-O(#wedges).  count_linked_quads counts the fibers of (a+b, a+b2) and of
-(a+b, b2) in C, sums the first over the (b, b2) fibers in one Python pass
-over unordered partner pairs (that sum is symmetric in b and b2), mirrors
-it, and ends in a dot product over the wedges.  The wedge cap still bounds
-the work: both check it on their partner rows and raise
-EnumerationCapExceeded before any counting.  linked_quad_problem and
-skew_collision_problem build the same counts as explicit ChainProblems for
-cross-checking.
+inst.partners() build.  Every fiber table is keyed by the first coordinate
+of its label and holds an int-keyed dict of counts of the second, so no
+label tuple is built per wedge and memory is O(#G + #labels) rather than
+O(#wedges).  The wedge cap still bounds the work: both check it on their
+partner rows and raise EnumerationCapExceeded before any counting, and
+each verify_* ladder takes its wedge count from those same rows.
+linked_quad_problem and skew_collision_problem build the same counts as
+explicit ChainProblems for cross-checking.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -98,18 +95,25 @@ def wedge_count(inst: Instance) -> int:
     return sum(len(ys) ** 2 for ys in inst.partners().values())
 
 
-def _capped_partners(inst: Instance, cap: int) -> dict[int, tuple[int, ...]]:
-    """inst.partners(), once its wedge count is known to be at most cap."""
+def _capped_partners(inst: Instance, cap: int) -> tuple[dict[int, tuple[int, ...]], int]:
+    """inst.partners() and its wedge count, once that is known to be at most cap."""
     rows = inst.partners()
     total = sum(len(ys) ** 2 for ys in rows.values())
     if total > cap:
         raise EnumerationCapExceeded(f"{total} wedges exceed cap {cap}")
-    return rows
+    return rows, total
+
+
+def _shifted(a: int, k: int, ys: tuple[int, ...], modulus: int | None) -> list[int]:
+    """[a + k*b for b in ys], reduced once per value in a modular group."""
+    if modulus is None:
+        return [a + k * b for b in ys]
+    return [(a + k * b) % modulus for b in ys]
 
 
 def enumerate_wedges(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> tuple[Wedge, ...]:
     out = []
-    for a, ys in sorted(_capped_partners(inst, cap).items()):
+    for a, ys in sorted(_capped_partners(inst, cap)[0].items()):
         for b in ys:
             for b2 in ys:
                 out.append(Wedge(a, b, b2))
@@ -133,31 +137,40 @@ def linked_quad_problem(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> ChainPr
 def count_linked_quads(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> int:
     """Chains of the three linked_quad_problem labelings, by fiber sums.
 
-    c1 and n3 are the fiber sizes of (a+b, a+b2) and (a+b, b2), both
-    counted in C.  c2 sums c1 over the fibers of (b, b2); c1 is symmetric
-    under swapping b and b2, so c2 is too, and it is summed over the
-    unordered partner pairs of each row, then mirrored.  A third wedge
-    (a, b, b2) ends c2[(b, b2)] chain heads and starts n3[(a+b, b2)] last
-    wedges, so the count is the sum over the wedges of the product.
+    The fibers are int-keyed rows: c1[a+b] counts the row's sums a+b2 and
+    n3[a+b] its partners b2, so they hold the fiber sizes of (a+b, a+b2)
+    and (a+b, b2).  c2[b] sums c1 over the fibers of (b, b2); c1 is
+    symmetric under swapping b and b2, so c2 is too, and it is summed over
+    the unordered partner pairs of each row, then mirrored.  A third wedge
+    (a, b, b2) ends c2[b][b2] chain heads and starts n3[a+b][b2] last
+    wedges, so the count is one dot product per pair (a, b).
     """
-    g = inst.group
-    partners = _capped_partners(inst, cap)
-    rows = [(ys, [g.add(a, b) for b in ys]) for a, ys in partners.items()]
-    product, unordered = itertools.product, itertools.combinations_with_replacement
-    c1: Counter = Counter()
-    n3: Counter = Counter()
+    return _linked_quads(inst.group.modulus, _capped_partners(inst, cap)[0])
+
+
+def _linked_quads(modulus: int | None, partners: dict[int, tuple[int, ...]]) -> int:
+    rows = [(ys, _shifted(a, 1, ys, modulus)) for a, ys in partners.items()]
+    c1, n3, c2 = defaultdict(dict), defaultdict(dict), defaultdict(dict)
     for ys, sums in rows:
-        c1.update(product(sums, sums))
-        n3.update(product(sums, ys))
-    c2: Counter = Counter()
-    for ys, sums in rows:  # ys is sorted, so every key has b <= b2
-        for label, weight in zip(unordered(ys, 2), map(c1.__getitem__, unordered(sums, 2))):
-            c2[label] += weight
-    c2.update({(b2, b): weight for (b, b2), weight in c2.items() if b != b2})
+        for s in sums:
+            sum_fiber, partner_fiber = c1[s], n3[s]
+            for b2, t in zip(ys, sums):
+                sum_fiber[t] = sum_fiber.get(t, 0) + 1
+                partner_fiber[b2] = partner_fiber.get(b2, 0) + 1
+    for ys, sums in rows:  # ys is sorted, so b <= b2 below, even where sums wrap
+        for i, (b, s) in enumerate(zip(ys, sums)):
+            fiber, head = c1[s], c2[b]
+            for b2, t in zip(ys[i:], sums[i:]):
+                head[b2] = head.get(b2, 0) + fiber[t]
+    for b, head in c2.items():  # every partner b2 is already a key of c2
+        for b2, weight in head.items():
+            if b2 > b:
+                c2[b2][b] = weight
     quads = 0
     for ys, sums in rows:
-        last = map(n3.__getitem__, product(sums, ys))
-        quads += sum(map(operator.mul, last, map(c2.__getitem__, product(ys, ys))))
+        for b, s in zip(ys, sums):
+            last, heads = n3[s].__getitem__, c2[b].__getitem__
+            quads += sum(map(operator.mul, map(last, ys), map(heads, ys)))
     return quads
 
 
@@ -174,12 +187,21 @@ def skew_collision_problem(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> Chai
 
 
 def count_skew_collisions(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> int:
-    """Ordered wedge pairs sharing (a+2b, b2): the sum of squared fiber sizes."""
-    g = inst.group
-    fibers: Counter = Counter()
-    for a, ys in _capped_partners(inst, cap).items():
-        fibers.update(itertools.product([g.add(a, g.scale(2, b)) for b in ys], ys))
-    return sum(n * n for n in fibers.values())
+    """Ordered wedge pairs sharing (a+2b, b2): the sum of squared fiber sizes.
+
+    fibers[a+2b] is an int-keyed dict counting the row's partners b2.
+    """
+    return _skew_collisions(inst.group.modulus, _capped_partners(inst, cap)[0])
+
+
+def _skew_collisions(modulus: int | None, partners: dict[int, tuple[int, ...]]) -> int:
+    fibers = defaultdict(dict)
+    for a, ys in partners.items():
+        for s in _shifted(a, 2, ys, modulus):
+            fiber = fibers[s]
+            for b2 in ys:
+                fiber[b2] = fiber.get(b2, 0) + 1
+    return sum(n * n for fiber in fibers.values() for n in fiber.values())
 
 
 def quad_fingerprint(quad: tuple[Wedge, Wedge, Wedge, Wedge]) -> tuple[Wedge, int, int]:
@@ -333,8 +355,8 @@ def verify_three_slice_chain(
     reduced = reduce_to_difference_injective(inst)
     sizes = require_hypotheses(reduced, budget, with_d=False)
     relation = len(reduced.pairs)
-    wedges = wedge_count(reduced)
-    quads = count_linked_quads(reduced, cap=cap)
+    rows, wedges = _capped_partners(reduced, cap)
+    quads = _linked_quads(reduced.group.modulus, rows)
     c_size, b_size = sizes["C"], sizes["B"]
     n = budget
     inequalities = (
@@ -372,8 +394,8 @@ def verify_four_slice_chain(
     reduced = reduce_to_difference_injective(inst)
     sizes = require_hypotheses(reduced, budget, with_d=True)
     relation = len(reduced.pairs)
-    wedges = wedge_count(reduced)
-    collisions = count_skew_collisions(reduced, cap=cap)
+    rows, wedges = _capped_partners(reduced, cap)
+    collisions = _skew_collisions(reduced.group.modulus, rows)
     d_size, b_size = sizes["D"], sizes["B"]
     n = budget
     inequalities = (

@@ -175,6 +175,74 @@ def test_streaming_counts_are_multiplicative_on_tensors():
         assert count_skew_collisions(ex2) == 30**n
 
 
+def test_streaming_counts_at_benchmark_sizes():
+    """The tensor sizes the ladder benchmark runs, frozen here as well."""
+    assert count_linked_quads(build_example_one(5)) == 36**5
+    ex2 = build_example_two(4)
+    assert count_linked_quads(ex2) == 97**4
+    assert count_skew_collisions(ex2) == 30**4
+
+
+def test_streaming_counts_match_chain_problems_dense_rows():
+    """Long partner rows, raw and reduced, against the explicit problems."""
+    rng = random.Random(59)
+    kinds = set()
+    longest_row = 0
+    for _ in range(40):
+        raw = random_instance(rng, max_side=20)
+        kinds.add(raw.group.is_modular)
+        longest_row = max([longest_row] + [len(ys) for ys in raw.partners().values()])
+        for inst in (raw, reduce_to_difference_injective(raw)):
+            assert count_linked_quads(inst) == chain_count_dp(linked_quad_problem(inst))
+            assert count_skew_collisions(inst) == chain_count_dp(
+                skew_collision_problem(inst)
+            )
+    assert kinds == {False, True}
+    assert longest_row >= 10
+
+
+def test_streaming_counts_edge_cases():
+    empty = Instance(group=Z, a_set=(0, 1), b_set=(0, 1), pairs=())
+    assert count_linked_quads(empty) == 0
+    assert count_skew_collisions(empty) == 0
+    # one partner per row: every wedge is (a, b, b), and the labels of
+    # distinct rows still collide through shared sums and partners
+    single = [
+        Instance(group=Z, a_set=(5,), b_set=(2,), pairs=((5, 2),)),
+        Instance(group=Z, a_set=(0, 1, 2), b_set=(0, 1, 3), pairs=((0, 1), (1, 0), (2, 3))),
+        Instance(
+            group=AmbientGroup.integers_mod(5),
+            a_set=(0, 1, 3, 4),
+            b_set=(0, 2, 4),
+            pairs=((0, 2), (1, 0), (3, 4), (4, 2)),
+        ),
+    ]
+    for inst in single:
+        assert all(len(ys) == 1 for ys in inst.partners().values())
+        assert (count_linked_quads(inst), count_skew_collisions(inst)) == brute_counts(inst)
+        assert count_linked_quads(inst) == chain_count_dp(linked_quad_problem(inst))
+        assert count_skew_collisions(inst) == chain_count_dp(skew_collision_problem(inst))
+
+
+def test_each_ladder_builds_partners_once(monkeypatch):
+    calls = []
+    partners = Instance.partners
+
+    def counted(self):
+        calls.append(self)
+        return partners(self)
+
+    monkeypatch.setattr(Instance, "partners", counted)
+    for inst in (build_example_one(2), build_example_two(2)):
+        budget = max(len(inst.a_set), len(project(inst, SUM)), len(project(inst, SKEW_SUM)))
+        calls.clear()
+        verify_three_slice_chain(inst, budget)
+        assert len(calls) == 1
+        calls.clear()
+        verify_four_slice_chain(inst, budget)
+        assert len(calls) == 1
+
+
 def test_streaming_counts_respect_wedge_cap():
     inst = build_example_one(2)
     assert wedge_count(inst) == 144
