@@ -48,9 +48,6 @@ class LinearForm:
         """The value over the integers."""
         return self.alpha * a + self.beta * b
 
-    def apply(self, group: AmbientGroup, a: int, b: int) -> int:
-        return group.canon(self(a, b))
-
 
 SUM = LinearForm(1, 1)
 DIFFERENCE = LinearForm(1, -1)
@@ -109,6 +106,16 @@ class Instance:
         object.__setattr__(self, "a_set", a_sorted)
         object.__setattr__(self, "b_set", b_sorted)
         object.__setattr__(self, "pairs", tuple(sorted(seen)))
+
+    def _with_subrelation(self, pairs: tuple[tuple[int, int], ...]) -> "Instance":
+        """This instance with G replaced by pairs, a sorted subset of G.
+
+        A subset of a validated relation needs no check, so __post_init__ is
+        skipped.
+        """
+        inst = object.__new__(type(self))
+        inst.__dict__.update(self.__dict__, pairs=pairs)
+        return inst
 
     def partners(self) -> dict[int, tuple[int, ...]]:
         """For each a, the sorted tuple of b with (a, b) in G."""
@@ -231,9 +238,4 @@ def reduce_to_difference_injective(inst: Instance) -> Instance:
         kept = {(x - y) % m: (x, y) for x, y in reversed(inst.pairs)}
     if len(kept) == len(inst.pairs):
         return inst
-    return Instance(
-        group=inst.group,
-        a_set=inst.a_set,
-        b_set=inst.b_set,
-        pairs=tuple(sorted(kept.values())),
-    )
+    return inst._with_subrelation(tuple(sorted(kept.values())))

@@ -11,17 +11,24 @@ search keeps one representative per symmetry class.
 One depth-first walk covers both spaces.  It visits a list of choice groups
 and, at each group, first skips it and then tries each of its cells in turn.
 A group is a diagonal x - y = d in the difference-injective space and a
-single cell (in x-major order) otherwise.  The walk recurses once per group,
-so a spec may have at most _GROUP_LIMIT groups.
+single cell (in x-major order) otherwise.  The walk recurses at most once
+per group, so a spec may have at most _GROUP_LIMIT groups.
 
-The walk keeps one flat tally list with a block of slots per form (the
-budgeted slices, then the differences) and the number of distinct values
-per form.  Pushing or popping a cell updates its precomputed slots, so the
-max slice and #differences of the chosen cells are read without rebuilding
-any set.  Branch-and-bound mode prunes a subtree only when even one more
-pair per remaining group could not reach the incumbent's score.  Leaves are
-scored from the tallies; only a leaf that ties or beats the incumbent is
-built as a pattern and canonicalized.
+The walk keeps one flat tally list with a block of slots per budgeted
+slice and the number of distinct values per slice.  In the
+difference-injective space every chosen cell adds a new difference, so
+#differences is the number of chosen cells; only the space where pairs may
+share a difference keeps a block of difference slots as well.  The max
+slice is passed down the walk: a cell whose slots read 0 raises those
+slices by one, so a child's max slice is its parent's, plus one when such a
+slice is already at the max.  Each node is counted, checked against the
+budget and pruned in its parent, so a pruned child or a leaf costs no call;
+only a child that is expanded pushes its cell's slots and pops them after.
+The children of the last group are leaves and are scored straight from the
+tallies, without a push.  Branch-and-bound mode prunes a subtree only when
+even one more pair per remaining group could not reach the incumbent's
+score.  Only a leaf that ties or beats the incumbent is built as a pattern
+and canonicalized.
 
 Score comparisons are decided exactly by the root rule of compare_scores:
 log ratios whose numbers share primitive roots compare through one integer
@@ -55,8 +62,8 @@ __all__ = [
 
 _EXHAUSTIVE_CELL_LIMIT = 25  # (K+1)**2 above this forbids exhaustive mode
 _WITNESS_CAP = 64  # witnesses kept in a result, least first
-# the walk recurses once per choice group, so this keeps it well under the
-# default recursion limit of 1000
+# the walk recurses at most once per choice group, so this keeps it well
+# under the default recursion limit of 1000
 _GROUP_LIMIT = 256
 
 
@@ -239,6 +246,8 @@ class _Verdicts(dict):
         self.incumbent = incumbent
 
     def __missing__(self, score: tuple[int, int]) -> int:
+        if self.incumbent is None:
+            return 1  # anything that scores beats no incumbent
         sign = self[score] = compare_scores(*score, *self.incumbent)
         return sign
 
@@ -250,20 +259,26 @@ def search(spec: SearchSpec) -> SearchResult:
     that is a flagged result, not an error.
     """
     k = spec.alphabet_max
-    if spec.require_difference_injective:
+    injective = spec.require_difference_injective
+    if injective:
         cell_groups = [
             [(x, x - d) for x in range(max(0, d), min(k, k + d) + 1)]
             for d in range(-k, k + 1)
         ]
     else:
         cell_groups = [[(x, y)] for x in range(k + 1) for y in range(k + 1)]
-    # one block of tally slots per form; the budgeted slices come first and
-    # the differences last, so sizes[-1] is #differences
-    forms = [*budgeted_slices(spec.constrain_d).values(), DIFFERENCE]
+    # one block of tally slots per budgeted slice, then (only when pairs may
+    # share a difference) one block for the differences
+    forms = list(budgeted_slices(spec.constrain_d).values())
     width = 4 * k + 1  # every form's value, offset by k, lies in 0..4k
+    dbase = len(forms) * width + k
     groups = [
         [
-            (cell, tuple((j, j * width + k + f(*cell)) for j, f in enumerate(forms)))
+            (
+                cell,
+                tuple((j, j * width + k + f(*cell)) for j, f in enumerate(forms)),
+                None if injective else dbase + DIFFERENCE(*cell),
+            )
             for cell in group
         ]
         for group in cell_groups
@@ -271,64 +286,105 @@ def search(spec: SearchSpec) -> SearchResult:
     last = len(groups)
     budget = spec.node_budget
     prune = spec.mode == "branch-bound"
-    tally = [0] * (len(forms) * width)  # cells chosen per form value
-    sizes = [0] * len(forms)  # distinct values per form
+    tally = [0] * ((len(forms) + (not injective)) * width)  # cells per form value
+    sizes = [0] * len(forms)  # distinct values per budgeted slice
+    differences = 0  # distinct differences, when pairs may share one
     chosen: list[tuple[int, int]] = []
-    nodes = 0
-    exhausted = False
+    nodes = 1  # the root, the one node no parent counts
     best: tuple[int, int] | None = None  # (#differences, max slice)
     verdicts = _Verdicts(best)
     ties: dict[tuple[tuple[int, int], ...], DigitPattern] = {}  # by canonical pairs
 
-    def descend(index: int, slice_size: int) -> None:
-        nonlocal nodes, exhausted, best, ties, verdicts
-        if exhausted:
-            return
+    def record(score: tuple[int, int], sign: int, pairs) -> None:
+        # only ties and new bests are canonicalized: scores are
+        # symmetry-invariant and best only rises, so a class that lost
+        # once can never tie later
+        nonlocal best, ties, verdicts
+        pattern = canonicalize(DigitPattern(tuple(pairs), spec.constrain_d))
+        if sign > 0:
+            best, ties, verdicts = score, {}, _Verdicts(score)
+        ties.setdefault(pattern.pairs, pattern)
+
+    def expand(index: int, top: int) -> bool:
+        """Visit the children of a counted node; True once the budget is hit.
+
+        top is the max slice of the chosen cells.  Each child is counted
+        here, before it is scored, pruned or expanded.
+        """
+        nonlocal nodes, differences
+        child = index + 1
+        if child == last:
+            # the children are leaves, scored from the tallies: a cell's
+            # slots that read 0 raise their slice by one, nothing is pushed
+            count = len(chosen) if injective else differences
+            nodes += 1
+            if budget is not None and nodes > budget:
+                return True
+            if top >= 2:
+                sign = verdicts[count, top]
+                if sign >= 0:
+                    record((count, top), sign, chosen)
+            for cell, slots, dslot in groups[index]:
+                nodes += 1
+                if budget is not None and nodes > budget:
+                    return True
+                leaf_top = top
+                for j, slot in slots:
+                    if not tally[slot] and sizes[j] == top:
+                        leaf_top += 1
+                        break
+                if leaf_top < 2:
+                    continue
+                leaf_count = count + 1 if dslot is None else count + (not tally[dslot])
+                sign = verdicts[leaf_count, leaf_top]
+                if sign >= 0:
+                    record((leaf_count, leaf_top), sign, (*chosen, cell))
+            return False
+        # prune only strictly dominated subtrees: slices are monotone under
+        # adding cells, so a tie here may still hide a witness; the bound
+        # gives each group after the child one more pair
+        bound = len(chosen) + last - child
         nodes += 1
         if budget is not None and nodes > budget:
-            exhausted = True
-            return
-        if index == last:
-            if slice_size < 2:
-                return
-            score = (sizes[-1], slice_size)
-            sign = 1 if best is None else verdicts[score]
-            if sign < 0:
-                return
-            # only ties and new bests are canonicalized: scores are
-            # symmetry-invariant and best only rises, so a class that lost
-            # once can never tie later
-            pattern = canonicalize(DigitPattern(tuple(chosen), spec.constrain_d))
-            if sign > 0:
-                best, ties, verdicts = score, {}, _Verdicts(score)
-            ties.setdefault(pattern.pairs, pattern)
-            return
-        # prune only strictly dominated subtrees: slices are monotone under
-        # adding cells, so a tie here may still hide a witness
-        if (
-            prune
-            and best is not None
-            and slice_size >= 2
-            and verdicts[len(chosen) + last - index, slice_size] < 0
-        ):
-            return
-        descend(index + 1, slice_size)
-        for cell, slots in groups[index]:
-            if exhausted:
-                return
+            return True
+        if not (prune and top >= 2 and verdicts[bound, top] < 0):
+            if expand(child, top):
+                return True
+        bound += 1
+        for cell, slots, dslot in groups[index]:
+            nodes += 1
+            if budget is not None and nodes > budget:
+                return True
+            child_top = top
+            for j, slot in slots:
+                if not tally[slot] and sizes[j] == top:
+                    child_top += 1
+                    break
+            if prune and child_top >= 2 and verdicts[bound, child_top] < 0:
+                continue
             for j, slot in slots:
                 if not tally[slot]:
                     sizes[j] += 1
                 tally[slot] += 1
+            if dslot is not None:
+                if not tally[dslot]:
+                    differences += 1
+                tally[dslot] += 1
             chosen.append(cell)
-            descend(index + 1, max(sizes[:-1]))
+            if expand(child, child_top):
+                return True
             chosen.pop()
             for j, slot in slots:
                 tally[slot] -= 1
                 if not tally[slot]:
                     sizes[j] -= 1
+            if dslot is not None:
+                tally[dslot] -= 1
+                if not tally[dslot]:
+                    differences -= 1
+        return False
 
-    descend(0, 0)
+    exhausted = expand(0, 0)
     witnesses = sorted(ties.values(), key=lambda p: (len(p.pairs), p.pairs))
     return SearchResult(tuple(witnesses[:_WITNESS_CAP]), not exhausted, nodes, best)
 

@@ -38,15 +38,24 @@ def small_instance() -> Instance:
     )
 
 
-def test_linear_form_apply():
-    assert SUM.apply(Z, 4, 5) == 9
-    assert DIFFERENCE.apply(Z, 4, 5) == -1
-    assert SKEW_SUM.apply(Z, 4, 5) == 14
-    m = AmbientGroup.integers_mod(7)
-    assert SKEW_SUM.apply(m, 4, 5) == 0
-    assert LinearForm(3, -2).apply(Z, 1, 1) == 1
+def test_linear_form_values():
+    def projected(group, form, pair):
+        inst = Instance(group=group, a_set=(pair[0],), b_set=(pair[1],), pairs=(pair,))
+        return project(inst, form)
+
+    assert SUM(4, 5) == 9
+    assert DIFFERENCE(4, 5) == -1
+    assert SKEW_SUM(4, 5) == 14
+    assert LinearForm(3, -2)(1, 1) == 1
     assert LinearForm(3, -2)(1, 5) == -7
-    assert LinearForm(3, -2).apply(m, 1, 5) == 0
+    # project takes the same values over Z and reduces them mod m
+    assert projected(Z, SKEW_SUM, (4, 5)) == {14}
+    assert projected(Z, DIFFERENCE, (4, 5)) == {-1}
+    assert projected(Z, LinearForm(3, -2), (1, 5)) == {-7}
+    m = AmbientGroup.integers_mod(7)
+    assert projected(m, SKEW_SUM, (4, 5)) == {0}
+    assert projected(m, DIFFERENCE, (4, 5)) == {6}
+    assert projected(m, LinearForm(3, -2), (1, 5)) == {0}
     with pytest.raises(ValueError):
         LinearForm(0, 0)
     # the budgeted slices, in report order; D only under with_d
@@ -196,6 +205,24 @@ def test_reduce_properties_random():
         # sum and skew projections can only shrink
         assert project(reduced, SUM) <= project(inst, SUM)
         assert project(reduced, SKEW_SUM) <= project(inst, SKEW_SUM)
+
+
+def test_reduce_builds_the_validated_instance():
+    """The reduction skips validation; its result is what validation gives."""
+    rng = random.Random(1)
+    modular = dropped = 0
+    for _ in range(2000):
+        inst = random_instance(rng, max_side=12)
+        reduced = reduce_to_difference_injective(inst)
+        validated = Instance(
+            group=inst.group, a_set=inst.a_set, b_set=inst.b_set, pairs=reduced.pairs
+        )
+        assert reduced == validated and hash(reduced) == hash(validated)
+        assert reduce_to_difference_injective(reduced) is reduced
+        modular += inst.group.is_modular
+        dropped += reduced is not inst
+    # both group kinds, and enough dropped pairs to exercise the fast path
+    assert modular > 800 and dropped > 800
 
 
 def test_random_instance_shape():

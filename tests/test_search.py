@@ -523,3 +523,113 @@ def test_certify_checks_exact_score():
 def test_certify_empty_result_is_ok():
     report = certify(SearchResult((), True, 0), SearchSpec(alphabet_max=2))
     assert report.ok
+
+
+
+def reference_results(spec: SearchSpec) -> list[SearchResult]:
+    """The result at every node budget, from one walk that calls itself per node.
+
+    The walk rebuilds the slice sets from the chosen cells at each node and
+    keeps no tallies.  results[b - 1] is the result at node_budget=b: a run
+    cut at b counts the node that exceeds the budget, b + 1, and keeps the
+    incumbent of the b nodes before it; from the full node count on, the
+    run is exhaustive.
+    """
+    k = spec.alphabet_max
+    if spec.require_difference_injective:
+        groups = [
+            [(x, x - d) for x in range(max(0, d), min(k, k + d) + 1)]
+            for d in range(-k, k + 1)
+        ]
+    else:
+        groups = [[(x, y)] for x in range(k + 1) for y in range(k + 1)]
+    last = len(groups)
+    chosen: list[tuple[int, int]] = []
+    best = None
+    ties: dict = {}  # replaced, never mutated, so history can share it
+    history = []  # (best, ties) after each count of nodes
+    verdicts: dict = {}  # compare_scores(*score, *best) by (score, best)
+
+    def beats(score) -> int:
+        if best is None:
+            return 1
+        if (score, best) not in verdicts:
+            verdicts[score, best] = compare_scores(*score, *best)
+        return verdicts[score, best]
+
+    def descend(index: int) -> None:
+        nonlocal best, ties
+        history.append((best, ties))
+        slices = [{x for x, _ in chosen}, {y for _, y in chosen}]
+        slices.append({x + y for x, y in chosen})
+        if spec.constrain_d:
+            slices.append({x + 2 * y for x, y in chosen})
+        slice_size = max(len(s) for s in slices)
+        if index == last:
+            if slice_size < 2:
+                return
+            score = (len({x - y for x, y in chosen}), slice_size)
+            sign = beats(score)
+            if sign < 0:
+                return
+            pattern = canonicalize(DigitPattern(tuple(chosen), spec.constrain_d))
+            if sign > 0:
+                best, ties = score, {}
+            if pattern.pairs not in ties:
+                ties = {**ties, pattern.pairs: pattern}
+            return
+        if (
+            spec.mode == "branch-bound"
+            and slice_size >= 2
+            and beats((len(chosen) + last - index, slice_size)) < 0
+        ):
+            return
+        descend(index + 1)
+        for cell in groups[index]:
+            chosen.append(cell)
+            descend(index + 1)
+            chosen.pop()
+
+    def result(best, ties, exhaustive: bool, nodes: int) -> SearchResult:
+        witnesses = sorted(ties.values(), key=lambda p: (len(p.pairs), p.pairs))
+        cap = search_module._WITNESS_CAP
+        return SearchResult(tuple(witnesses[:cap]), exhaustive, nodes, best)
+
+    descend(0)
+    total = len(history)
+    return [result(*history[b], False, b + 1) for b in range(1, total)] + [
+        result(best, ties, True, total)
+    ]
+
+
+def test_budget_cuts_match_the_one_call_per_node_walk():
+    """Cut at every budget, on leaves too, a run keeps the reference's incumbent."""
+    # (spec, budget stride): every budget where the walk is small, a stride
+    # where covering every budget would take seconds
+    cases = [
+        (
+            SearchSpec(
+                alphabet_max=k,
+                constrain_d=constrain_d,
+                mode=mode,
+                require_difference_injective=injective,
+            ),
+            1 if injective or k < 2 else 11,
+        )
+        for k in (0, 1, 2)
+        for constrain_d in (False, True)
+        for mode in ("exhaustive", "branch-bound")
+        for injective in (True, False)
+    ]
+    cases += [
+        (SearchSpec(alphabet_max=3, constrain_d=constrain_d, mode=mode), 193)
+        for constrain_d in (False, True)
+        for mode in ("exhaustive", "branch-bound")
+    ]
+    for spec, stride in cases:
+        expected = reference_results(spec)
+        total = len(expected)
+        assert search(spec) == expected[-1]
+        for budget in [*range(1, total + 2, stride), total - 1, total, total + 1]:
+            got = search(dataclasses.replace(spec, node_budget=budget))
+            assert got == expected[min(budget, total) - 1], (spec, budget)
