@@ -8,9 +8,11 @@ and averaging over fibers loses at most a factor #A_i per step.
 
 Two counts are kept apart on purpose.  chain_count_dp aggregates weights
 over label fibers.  chain_count_naive is the oracle: it grows chains one
-position at a time, tests the defining label equality for every candidate
-extension, and adds 1 per complete chain, so it shares no fiber sums,
-grouping or weights with the DP.
+position at a time and tests the defining label equality for every
+candidate extension.  Its scans run in C, ``list.index`` to the next
+matching item and ``list.count`` for the last position, but each is a
+fresh scan over every candidate, so it shares no fiber sums, grouping,
+weights or memo with the DP.
 
 Counts are exact arbitrary-width integers throughout.
 """
@@ -87,21 +89,30 @@ class ChainProblem:
 def chain_count_naive(problem: ChainProblem, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """Count chains by a prefix-pruned walk over (n+1)-tuples.
 
-    This is the oracle.  Position j scans every item y and keeps it only if
-    f_j(x_{j-1}) == f_j(y); a prefix that breaks the equality is never
-    extended, and each complete chain adds 1.  It uses no fiber sums, no
-    label-to-items grouping and no weights, so it shares no machinery with
-    chain_count_dp.  The walk is iterative: besides a by-index copy of the
-    labels, it holds one cursor per position, so no step count can overflow
-    the call stack.  ``cap`` bounds the #X**(n+1) tuples the walk ranges
-    over and is checked before any work.
+    This is the oracle.  Position j keeps an item y only if
+    f_j(x_{j-1}) matches f_j(y); a prefix that breaks the match is never
+    extended.  The scan runs in C: ``list.index`` jumps to the next matching
+    item, and at the next-to-last position ``list.count`` adds the number of
+    matching last items instead of visiting each one.  Both still test the
+    label of every candidate extension, and each ``count`` is a fresh scan.
+    Labels match when they are the same object or compare ``==``, the rule
+    of the DP's dict fibers and of ``Labeling``'s label set, so one shared
+    ``nan`` label matches itself.  The walk uses no fiber sums, no
+    label-to-items grouping, no weights and no memo, so it shares no
+    machinery with chain_count_dp.  It is iterative: besides a by-index copy
+    of the labels, it holds one cursor per position, so no step count can
+    overflow the call stack.  ``cap`` bounds the #X**(n+1) tuples the walk
+    ranges over and is checked before any work.
     """
     width = problem.steps + 1
     n = len(problem.items)
     if n**width > cap:
         raise EnumerationCapExceeded(f"{n}**{width} tuples exceed cap {cap}")
+    if width == 1:
+        return n
     # labels[i][y] is f_{i+1} of the y-th item
     labels = [[lab.assignment[x] for x in problem.items] for lab in problem.labelings]
+    last = labels[-1]
     count = 0
     path: list[int] = []  # item indices of the prefix x_0 .. x_{j-1}
     cursor = [0]  # cursor[j]: the next item index to try at position j
@@ -110,17 +121,18 @@ def chain_count_naive(problem: ChainProblem, cap: int = DEFAULT_ENUMERATION_CAP)
         y = cursor[-1]
         if j:
             row = labels[j - 1]
-            target = row[path[-1]]
-            while y < n and row[y] != target:
-                y += 1
+            try:
+                y = row.index(row[path[-1]], y)
+            except ValueError:
+                y = n
         if y >= n:
             cursor.pop()
             if path:
                 path.pop()
             continue
         cursor[-1] = y + 1
-        if j == width - 1:
-            count += 1
+        if j == width - 2:
+            count += last.count(last[y])
         else:
             path.append(y)
             cursor.append(0)

@@ -210,13 +210,21 @@ def _lemma_case(seed: int, cap: int, index: int) -> dict:
     }
 
 
+def _json_list(doc, key: str) -> list:
+    """doc[key], which must be a JSON list: a string would be read per character."""
+    value = doc[key]
+    if not isinstance(value, list):
+        raise MalformedInstance(f"{key!r} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
 def _load_chain_problem(path: str) -> ChainProblem:
     doc = read_json(path)
     try:
-        items = [tuple(x) if isinstance(x, list) else x for x in doc["items"]]
+        items = [tuple(x) if isinstance(x, list) else x for x in _json_list(doc, "items")]
         labelings = []
-        for entry in doc["labelings"]:
-            labels = entry["labels"]
+        for entry in _json_list(doc, "labelings"):
+            labels = _json_list(entry, "labels")
             if len(labels) != len(items):
                 raise MalformedInstance(
                     "each labeling needs exactly one label per item"

@@ -113,6 +113,52 @@ def test_naive_equals_product_enumeration():
     assert chain_count_naive(empty) == product_count(empty) == 0
 
 
+def test_naive_matches_labels_by_identity_or_equality():
+    # list.index and list.count match a label that is the same object, as
+    # the DP's dict fibers and Labeling's label set do, even when == says no
+    nan = float("nan")
+    problem = ChainProblem(items=(0, 1, 2), labelings=(Labeling({0: nan, 1: nan, 2: 1}, 2),))
+    assert chain_count_naive(problem) == chain_count_dp(problem) == 5
+
+    class NeverEqual:
+        def __eq__(self, other):
+            return False
+
+        __hash__ = object.__hash__
+
+    a, b = NeverEqual(), NeverEqual()
+    lab = Labeling({0: a, 1: a, 2: b, 3: a}, 2)
+    problem = ChainProblem(items=(0, 1, 2, 3), labelings=(lab, lab))
+    # fibers of sizes 3 and 1: 27 + 1 triples
+    assert chain_count_naive(problem) == chain_count_dp(problem) == 28
+
+
+def test_naive_edge_shapes_match_product_enumeration():
+    items = (0, 1, 2, 3, 4)
+    by_tuple = Labeling({x: (x % 2, "t") for x in items}, 2)
+    by_str = Labeling({x: "ab"[x < 2] for x in items}, 2)
+    problems = [
+        ChainProblem(items=items, labelings=()),
+        ChainProblem(items=items, labelings=(by_tuple,)),
+        ChainProblem(items=items, labelings=(by_str,)),
+        ChainProblem(items=items, labelings=(by_tuple, by_str, by_tuple)),
+        ChainProblem(items=(), labelings=(Labeling({}, 0),)),
+        ChainProblem(items=(), labelings=(Labeling({}, 0),) * 3),
+    ]
+    for problem in problems:
+        assert chain_count_naive(problem) == product_count(problem) == chain_count_dp(problem)
+    # zero steps count the items; one step sums the squared fibers 3**2 + 2**2
+    assert [chain_count_naive(p) for p in problems[:3]] == [5, 13, 13]
+
+
+def test_naive_dense_closed_form():
+    # fibers of x % 3 over 200 items have sizes 67, 67 and 66
+    items = tuple(range(200))
+    lab = Labeling({x: x % 3 for x in items}, 3)
+    problem = ChainProblem(items=items, labelings=(lab, lab))
+    assert chain_count_naive(problem) == 2 * 67**3 + 66**3 == 889_022
+
+
 def test_naive_long_chain_is_iterative():
     # far deeper than the default recursion limit, and within the cap
     steps = 5000

@@ -251,6 +251,25 @@ def test_lemma_non_integer_label_count_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "doc, key",
+    [
+        # a string would be iterated character by character
+        ({"items": "ab", "labelings": [{"labels": [1, 1]}]}, "items"),
+        ({"items": [0, 1], "labelings": [{"labels": "xy"}]}, "labels"),
+        ({"items": {"a": 0, "b": 1}, "labelings": [{"labels": [1, 1]}]}, "items"),
+        ({"items": [0, 1], "labelings": {"labels": [1, 1]}}, "labelings"),
+    ],
+)
+def test_lemma_requires_json_lists(doc, key, tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, ["lemma", str(path)])
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error:") and f"{key!r} must be a JSON list" in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["verify", "inst.json", "--cap", "-5"],
