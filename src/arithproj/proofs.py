@@ -22,12 +22,19 @@ evaluated as x**q <= N**p over arbitrary-width integers.
 
 The ladder counts stream: count_linked_quads and count_skew_collisions run
 the fiber-sum recursion of chain_count_dp directly over the rows of one
-inst.partners() build.  Every fiber table is keyed by the first coordinate
-of its label and holds an int-keyed dict of counts of the second, so no
-label tuple is built per wedge and memory is O(#G + #labels) rather than
-O(#wedges).  The wedge cap still bounds the work: both check it on their
-partner rows and raise EnumerationCapExceeded before any counting, and
-each verify_* ladder takes its wedge count from those same rows.
+inst.partners() build, so no wedge or label tuple is built.  Each fiber
+table is indexed by the first coordinate of a label and counts the second.
+One rule on the slice sizes picks its form.  When the label spaces fit
+inside the wedge set (#C^2 + #C*#B + #B^2 <= 3 * wedges for the quads,
+#D*#B <= wedges for the collisions), the labels and partners that occur
+are numbered, partners in value order, in one pass over the pairs, and
+every table row is a dense int list updated in place; otherwise every row
+is an int-keyed dict.  A sparse table holds at most one entry per wedge,
+so either way memory is O(#G + min(#label slots, #wedges)).  The wedge cap
+still bounds the work: both check it on their partner rows and raise
+EnumerationCapExceeded before any table is allocated, and each verify_*
+ladder takes its wedge count from those same rows and its slice sizes from
+require_hypotheses, so the rule costs no extra pass.
 linked_quad_problem and skew_collision_problem build the same counts as
 explicit ChainProblems for cross-checking.
 """
@@ -36,6 +43,7 @@ from __future__ import annotations
 
 import operator
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -90,25 +98,55 @@ class Wedge(NamedTuple):
     b2: int
 
 
+def _square_degrees(partners: dict[int, tuple[int, ...]]) -> int:
+    """The wedge count of partner rows: the sum of their squared lengths."""
+    return sum(len(ys) ** 2 for ys in partners.values())
+
+
 def wedge_count(inst: Instance) -> int:
     """Sum of squared left degrees, without materializing the wedges."""
-    return sum(len(ys) ** 2 for ys in inst.partners().values())
+    return _square_degrees(inst.partners())
 
 
 def _capped_partners(inst: Instance, cap: int) -> tuple[dict[int, tuple[int, ...]], int]:
     """inst.partners() and its wedge count, once that is known to be at most cap."""
     rows = inst.partners()
-    total = sum(len(ys) ** 2 for ys in rows.values())
+    total = _square_degrees(rows)
     if total > cap:
         raise EnumerationCapExceeded(f"{total} wedges exceed cap {cap}")
     return rows, total
 
 
-def _shifted(a: int, k: int, ys: tuple[int, ...], modulus: int | None) -> list[int]:
-    """[a + k*b for b in ys], reduced once per value in a modular group."""
+# one (partners b of a, labels a + k*b) per row, the partners sorted
+_Rows = list[tuple[Sequence[int], list[int]]]
+
+
+def _labelled_rows(
+    modulus: int | None, k: int, partners: dict[int, tuple[int, ...]]
+) -> _Rows:
+    """Each row's sorted partners with their labels a + k*b, reduced once per
+    value in a modular group."""
     if modulus is None:
-        return [a + k * b for b in ys]
-    return [(a + k * b) % modulus for b in ys]
+        return [(ys, [a + k * b for b in ys]) for a, ys in partners.items()]
+    return [(ys, [(a + k * b) % modulus for b in ys]) for a, ys in partners.items()]
+
+
+def _numbered(rows: _Rows) -> tuple[_Rows, int, int]:
+    """rows with labels numbered 0..#labels-1 and partners 0..#partners-1,
+    and both counts.  Partners are numbered in value order, so each row's
+    ids stay sorted."""
+    labels: set[int] = set()
+    partners: set[int] = set()
+    for ys, row_labels in rows:
+        labels.update(row_labels)
+        partners.update(ys)
+    label_id = {s: i for i, s in enumerate(labels)}
+    partner_id = {b: i for i, b in enumerate(sorted(partners))}
+    numbered = [
+        (list(map(partner_id.__getitem__, ys)), list(map(label_id.__getitem__, row_labels)))
+        for ys, row_labels in rows
+    ]
+    return numbered, len(labels), len(partners)
 
 
 def enumerate_wedges(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> tuple[Wedge, ...]:
@@ -137,19 +175,62 @@ def linked_quad_problem(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> ChainPr
 def count_linked_quads(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> int:
     """Chains of the three linked_quad_problem labelings, by fiber sums.
 
-    The fibers are int-keyed rows: c1[a+b] counts the row's sums a+b2 and
-    n3[a+b] its partners b2, so they hold the fiber sizes of (a+b, a+b2)
-    and (a+b, b2).  c2[b] sums c1 over the fibers of (b, b2); c1 is
-    symmetric under swapping b and b2, so c2 is too, and it is summed over
-    the unordered partner pairs of each row, then mirrored.  A third wedge
-    (a, b, b2) ends c2[b][b2] chain heads and starts n3[a+b][b2] last
+    The fibers are rows indexed by partner or sum: c1[a+b] counts the row's
+    sums a+b2 and n3[a+b] its partners b2, so they hold the fiber sizes of
+    (a+b, a+b2) and (a+b, b2).  c2[b] sums c1 over the fibers of (b, b2);
+    c1 is symmetric under swapping b and b2, so c2 is too, and it is summed
+    over the unordered partner pairs of each row, then mirrored.  A third
+    wedge (a, b, b2) ends c2[b][b2] chain heads and starts n3[a+b][b2] last
     wedges, so the count is one dot product per pair (a, b).
+
+    The tables are dense lists over the numbered sums and partners when
+    #C^2 + #C*#B + #B^2 <= 3 * wedges, for the slices C (the sums) and B,
+    and int-keyed dicts otherwise.  Each sparse table holds at most one
+    entry per wedge, so the dense tables never take more room than the
+    sparse worst case.
     """
-    return _linked_quads(inst.group.modulus, _capped_partners(inst, cap)[0])
+    rows, wedges = _capped_partners(inst, cap)
+    sizes = (len(project(inst, SUM)), len(inst.b_set))
+    return _linked_quads(inst.group.modulus, rows, wedges, *sizes)
 
 
-def _linked_quads(modulus: int | None, partners: dict[int, tuple[int, ...]]) -> int:
-    rows = [(ys, _shifted(a, 1, ys, modulus)) for a, ys in partners.items()]
+def _linked_quads(
+    modulus: int | None,
+    partners: dict[int, tuple[int, ...]],
+    wedges: int,
+    c_size: int,
+    b_size: int,
+) -> int:
+    rows = _labelled_rows(modulus, 1, partners)
+    if c_size * c_size + c_size * b_size + b_size * b_size <= 3 * wedges:
+        return _linked_quads_dense(rows)
+    return _linked_quads_sparse(rows)
+
+
+def _linked_quads_dense(rows: _Rows) -> int:
+    rows, n_c, n_b = _numbered(rows)
+    c1 = [[0] * n_c for _ in range(n_c)]
+    n3 = [[0] * n_b for _ in range(n_c)]
+    c2 = [[0] * n_b for _ in range(n_b)]
+    for ys, sums in rows:
+        for s in sums:
+            fiber = c1[s]
+            for t in sums:
+                fiber[t] += 1
+            fiber = n3[s]
+            for b2 in ys:
+                fiber[b2] += 1
+    for ys, sums in rows:  # ids keep the partners' order, so b <= b2 below
+        for i, (b, s) in enumerate(zip(ys, sums)):
+            fiber, head = c1[s], c2[b]
+            for b2, t in zip(ys[i:], sums[i:]):
+                head[b2] += fiber[t]
+    for b, column in enumerate(zip(*c2)):  # column[j] is c2[j][b], filled for j <= b
+        c2[b][:b] = column[:b]
+    return _last_wedges(rows, n3, c2)
+
+
+def _linked_quads_sparse(rows: _Rows) -> int:
     c1, n3, c2 = defaultdict(dict), defaultdict(dict), defaultdict(dict)
     for ys, sums in rows:
         for s in sums:
@@ -166,6 +247,11 @@ def _linked_quads(modulus: int | None, partners: dict[int, tuple[int, ...]]) -> 
         for b2, weight in head.items():
             if b2 > b:
                 c2[b2][b] = weight
+    return _last_wedges(rows, n3, c2)
+
+
+def _last_wedges(rows: _Rows, n3, c2) -> int:
+    """Sum over third wedges (a, b, b2) of c2[b][b2] * n3[a+b][b2]."""
     quads = 0
     for ys, sums in rows:
         for b, s in zip(ys, sums):
@@ -189,16 +275,45 @@ def skew_collision_problem(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> Chai
 def count_skew_collisions(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> int:
     """Ordered wedge pairs sharing (a+2b, b2): the sum of squared fiber sizes.
 
-    fibers[a+2b] is an int-keyed dict counting the row's partners b2.
+    fibers[a+2b] counts the row's partners b2: a dense list over the
+    numbered labels and partners when #D*#B <= wedges, for the slices D
+    (the skew sums) and B, and an int-keyed dict, at most one entry per
+    wedge, otherwise.
     """
-    return _skew_collisions(inst.group.modulus, _capped_partners(inst, cap)[0])
+    rows, wedges = _capped_partners(inst, cap)
+    sizes = (len(project(inst, SKEW_SUM)), len(inst.b_set))
+    return _skew_collisions(inst.group.modulus, rows, wedges, *sizes)
 
 
-def _skew_collisions(modulus: int | None, partners: dict[int, tuple[int, ...]]) -> int:
+def _skew_collisions(
+    modulus: int | None,
+    partners: dict[int, tuple[int, ...]],
+    wedges: int,
+    d_size: int,
+    b_size: int,
+) -> int:
+    rows = _labelled_rows(modulus, 2, partners)
+    if d_size * b_size <= wedges:
+        return _skew_collisions_dense(rows)
+    return _skew_collisions_sparse(rows)
+
+
+def _skew_collisions_dense(rows: _Rows) -> int:
+    rows, n_d, n_b = _numbered(rows)
+    fibers = [[0] * n_b for _ in range(n_d)]
+    for ys, labels in rows:
+        for d in labels:
+            fiber = fibers[d]
+            for b2 in ys:
+                fiber[b2] += 1
+    return sum(sum(map(operator.mul, fiber, fiber)) for fiber in fibers)
+
+
+def _skew_collisions_sparse(rows: _Rows) -> int:
     fibers = defaultdict(dict)
-    for a, ys in partners.items():
-        for s in _shifted(a, 2, ys, modulus):
-            fiber = fibers[s]
+    for ys, labels in rows:
+        for d in labels:
+            fiber = fibers[d]
             for b2 in ys:
                 fiber[b2] = fiber.get(b2, 0) + 1
     return sum(n * n for fiber in fibers.values() for n in fiber.values())
@@ -356,8 +471,8 @@ def verify_three_slice_chain(
     sizes = require_hypotheses(reduced, budget, with_d=False)
     relation = len(reduced.pairs)
     rows, wedges = _capped_partners(reduced, cap)
-    quads = _linked_quads(reduced.group.modulus, rows)
     c_size, b_size = sizes["C"], sizes["B"]
+    quads = _linked_quads(reduced.group.modulus, rows, wedges, c_size, b_size)
     n = budget
     inequalities = (
         Inequality("wedge-count-lower", Fraction(relation**2, n), Fraction(wedges)),
@@ -395,8 +510,8 @@ def verify_four_slice_chain(
     sizes = require_hypotheses(reduced, budget, with_d=True)
     relation = len(reduced.pairs)
     rows, wedges = _capped_partners(reduced, cap)
-    collisions = _skew_collisions(reduced.group.modulus, rows)
     d_size, b_size = sizes["D"], sizes["B"]
+    collisions = _skew_collisions(reduced.group.modulus, rows, wedges, d_size, b_size)
     n = budget
     inequalities = (
         Inequality(

@@ -15,6 +15,7 @@ from arithproj.errors import (
     NoPreimage,
     NotDifferenceInjective,
 )
+from arithproj import proofs
 from arithproj.groups import AmbientGroup
 from arithproj.instances import (
     SKEW_SUM,
@@ -250,6 +251,102 @@ def test_streaming_counts_respect_wedge_cap():
         with pytest.raises(EnumerationCapExceeded):
             count(inst, cap=143)
         assert count(inst, cap=144) > 0
+
+
+def both_paths(inst: Instance) -> tuple[set[int], set[int]]:
+    """Quads and collisions from the dense and the sparse kernels, whatever
+    the rule would pick for inst: one value each when the paths agree."""
+    partners, m = inst.partners(), inst.group.modulus
+    rows = proofs._labelled_rows(m, 1, partners)
+    quads = {proofs._linked_quads_dense(rows), proofs._linked_quads_sparse(rows)}
+    rows = proofs._labelled_rows(m, 2, partners)
+    collisions = {proofs._skew_collisions_dense(rows), proofs._skew_collisions_sparse(rows)}
+    return quads, collisions
+
+
+def checked_both_paths(inst: Instance) -> tuple[int, int]:
+    """Quads and collisions, once both paths agree with the chain problems."""
+    quads = chain_count_dp(linked_quad_problem(inst))
+    collisions = chain_count_dp(skew_collision_problem(inst))
+    assert both_paths(inst) == ({quads}, {collisions})
+    return quads, collisions
+
+
+def test_dense_and_sparse_paths_match_chain_problems():
+    for n in (1, 2, 3):
+        checked_both_paths(build_example_one(n))
+        checked_both_paths(build_example_two(n))
+    wrap = Instance(
+        group=AmbientGroup.integers_mod(7),
+        a_set=(3, 5),
+        b_set=(1, 2, 5, 6),
+        pairs=((3, 1), (3, 2), (3, 5), (3, 6), (5, 1), (5, 6)),
+    )
+    checked_both_paths(wrap)
+    rng = random.Random(61)
+    kinds = set()
+    for _ in range(200):
+        raw = random_instance(rng, max_side=8)
+        kinds.add(raw.group.is_modular)
+        checked_both_paths(raw)
+        checked_both_paths(reduce_to_difference_injective(raw))
+    assert kinds == {False, True}
+
+
+def test_dense_and_sparse_paths_edge_shapes():
+    empty = Instance(group=Z, a_set=(0, 1), b_set=(0, 1), pairs=())
+    assert checked_both_paths(empty) == (0, 0)
+    # a 2,000-pair matching with one common sum: the rule keeps it sparse,
+    # and its forced dense quad tables hold 2,000^2 + 2,000 + 1 slots
+    k = 2000
+    pairs = tuple((i, k - 1 - i) for i in range(k))
+    matching = Instance(group=Z, a_set=range(k), b_set=range(k), pairs=pairs)
+    assert checked_both_paths(matching) == (k * k, k)
+    # a path: a_i meets b_i and b_(i+1), over Z and wrapping round Z/30
+    for group in (Z, AmbientGroup.integers_mod(30)):
+        universe = range(30)
+        path = Instance(
+            group=group,
+            a_set=universe,
+            b_set=universe,
+            pairs=tuple(
+                (i, (i + j) % 30) for i in range(29 + group.is_modular) for j in (0, 1)
+            ),
+        )
+        checked_both_paths(path)
+
+
+def test_dense_rule_reads_the_slice_sizes(monkeypatch):
+    """The tensors the ladder benchmark runs fit their dense tables; a
+    5,000-pair matching (75M quad slots, 5,000 wedges) does not."""
+    picked = []
+    for name in (
+        "_linked_quads_dense",
+        "_linked_quads_sparse",
+        "_skew_collisions_dense",
+        "_skew_collisions_sparse",
+    ):
+        monkeypatch.setattr(proofs, name, lambda *_, _name=name: picked.append(_name) or 0)
+    k = 5000
+    matching = Instance(
+        group=Z, a_set=range(k), b_set=range(k), pairs=tuple((i, i) for i in range(k))
+    )
+    ex2 = build_example_two(4)
+    for inst, quads, collisions in (
+        # example one's skew labels a+2b are all distinct: 7,776 x 243 slots > 12^5 wedges
+        (build_example_one(5), "_linked_quads_dense", "_skew_collisions_sparse"),
+        (ex2, "_linked_quads_dense", "_skew_collisions_dense"),
+        (matching, "_linked_quads_sparse", "_skew_collisions_sparse"),
+    ):
+        picked.clear()
+        count_linked_quads(inst)
+        count_skew_collisions(inst)
+        assert picked == [quads, collisions]
+    # the ladders read the same sizes from require_hypotheses
+    picked.clear()
+    verify_three_slice_chain(ex2, 4**4)
+    verify_four_slice_chain(ex2, 4**4)
+    assert picked == ["_linked_quads_dense", "_skew_collisions_dense"]
 
 
 def exhaustive_round_trip(inst: Instance) -> tuple[int, int]:
