@@ -17,23 +17,24 @@ label collisions gives two counting arguments:
 
 Both "determined by" claims are realized below as explicit reconstruction
 functions, so injectivity is checked by execution rather than argued.
-All denominators and fractional powers are handled exactly: x <= N^(p/q) is
-evaluated as x**q <= N**p over arbitrary-width integers.
+
+Every verdict is an integer comparison: an Inequality keeps each side as a
+numerator over a positive denominator and cross-multiplies, so x <= N^(p/q)
+is x**q <= N**p; its Fraction sides are built only when read.
 
 The ladder counts stream: count_linked_quads and count_skew_collisions run
 the fiber-sum recursion of chain_count_dp directly over the rows of one
 inst.partners() build, so no wedge or label tuple is built.  Each fiber
 table is indexed by the first coordinate of a label and counts the second.
-One rule on the slice sizes picks its form.  When the label spaces fit
-inside the wedge set (#C^2 + #C*#B + #B^2 <= 3 * wedges for the quads,
-#D*#B <= wedges for the collisions), the labels and partners that occur
-are numbered, partners in value order, in one pass over the pairs, and
-every table row is a dense int list updated in place; otherwise every row
-is an int-keyed dict.  A sparse table holds at most one entry per wedge,
-so either way memory is O(#G + min(#label slots, #wedges)).  The wedge cap
-still bounds the work: both check it on their partner rows and raise
-EnumerationCapExceeded before any table is allocated, and each verify_*
-ladder takes its wedge count from those same rows and its slice sizes from
+A rule on the slice sizes picks its form: dense int lists over the labels
+and partners that occur, numbered in one pass over the pairs (partners in
+value order), or int-keyed dicts holding at most one entry per wedge.  The
+quads go dense while #C^2 + #C*#B + #B^2 <= 12 * wedges; up to that ratio
+the dense tracemalloc peak stays at or below the sparse one.  The
+collisions go dense while #D*#B + 8 * #G < 2 * wedges, which also charges
+the numbering pass.  Both check the wedge cap on their partner rows and
+raise EnumerationCapExceeded before any table is allocated, and each
+verify_* ladder takes its wedge count from those rows and its sizes from
 require_hypotheses, so the rule costs no extra pass.
 linked_quad_problem and skew_collision_problem build the same counts as
 explicit ChainProblems for cross-checking.
@@ -44,7 +45,7 @@ from __future__ import annotations
 import operator
 from collections import defaultdict
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -89,6 +90,9 @@ DEFAULT_WEDGE_CAP = 10**6
 THREE_SLICE_EXPONENT = Fraction(11, 6)
 FOUR_SLICE_EXPONENT = Fraction(7, 4)
 
+# each left element's sorted right partners, as Instance.partners() returns them
+_Partners = dict[int, tuple[int, ...]]
+
 
 class Wedge(NamedTuple):
     """A left element with an ordered pair of right partners, both pairs in G."""
@@ -98,7 +102,7 @@ class Wedge(NamedTuple):
     b2: int
 
 
-def _square_degrees(partners: dict[int, tuple[int, ...]]) -> int:
+def _square_degrees(partners: _Partners) -> int:
     """The wedge count of partner rows: the sum of their squared lengths."""
     return sum(len(ys) ** 2 for ys in partners.values())
 
@@ -108,7 +112,7 @@ def wedge_count(inst: Instance) -> int:
     return _square_degrees(inst.partners())
 
 
-def _capped_partners(inst: Instance, cap: int) -> tuple[dict[int, tuple[int, ...]], int]:
+def _capped_partners(inst: Instance, cap: int) -> tuple[_Partners, int]:
     """inst.partners() and its wedge count, once that is known to be at most cap."""
     rows = inst.partners()
     total = _square_degrees(rows)
@@ -121,9 +125,7 @@ def _capped_partners(inst: Instance, cap: int) -> tuple[dict[int, tuple[int, ...
 _Rows = list[tuple[Sequence[int], list[int]]]
 
 
-def _labelled_rows(
-    modulus: int | None, k: int, partners: dict[int, tuple[int, ...]]
-) -> _Rows:
+def _labelled_rows(modulus: int | None, k: int, partners: _Partners) -> _Rows:
     """Each row's sorted partners with their labels a + k*b, reduced once per
     value in a modular group."""
     if modulus is None:
@@ -181,13 +183,8 @@ def count_linked_quads(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> int:
     c1 is symmetric under swapping b and b2, so c2 is too, and it is summed
     over the unordered partner pairs of each row, then mirrored.  A third
     wedge (a, b, b2) ends c2[b][b2] chain heads and starts n3[a+b][b2] last
-    wedges, so the count is one dot product per pair (a, b).
-
-    The tables are dense lists over the numbered sums and partners when
-    #C^2 + #C*#B + #B^2 <= 3 * wedges, for the slices C (the sums) and B,
-    and int-keyed dicts otherwise.  Each sparse table holds at most one
-    entry per wedge, so the dense tables never take more room than the
-    sparse worst case.
+    wedges, so the count is one dot product per pair (a, b).  The tables
+    are dense or sparse by the rule in the module docstring.
     """
     rows, wedges = _capped_partners(inst, cap)
     sizes = (len(project(inst, SUM)), len(inst.b_set))
@@ -195,14 +192,11 @@ def count_linked_quads(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> int:
 
 
 def _linked_quads(
-    modulus: int | None,
-    partners: dict[int, tuple[int, ...]],
-    wedges: int,
-    c_size: int,
-    b_size: int,
+    modulus: int | None, partners: _Partners, wedges: int, c_size: int, b_size: int
 ) -> int:
     rows = _labelled_rows(modulus, 1, partners)
-    if c_size * c_size + c_size * b_size + b_size * b_size <= 3 * wedges:
+    # at 12 slots per wedge the dense and sparse tracemalloc peaks meet
+    if c_size * c_size + c_size * b_size + b_size * b_size <= 12 * wedges:
         return _linked_quads_dense(rows)
     return _linked_quads_sparse(rows)
 
@@ -275,25 +269,21 @@ def skew_collision_problem(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> Chai
 def count_skew_collisions(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> int:
     """Ordered wedge pairs sharing (a+2b, b2): the sum of squared fiber sizes.
 
-    fibers[a+2b] counts the row's partners b2: a dense list over the
-    numbered labels and partners when #D*#B <= wedges, for the slices D
-    (the skew sums) and B, and an int-keyed dict, at most one entry per
-    wedge, otherwise.
+    fibers[a+2b] counts the row's partners b2, dense or sparse by the rule
+    in the module docstring.
     """
     rows, wedges = _capped_partners(inst, cap)
     sizes = (len(project(inst, SKEW_SUM)), len(inst.b_set))
-    return _skew_collisions(inst.group.modulus, rows, wedges, *sizes)
+    return _skew_collisions(inst.group.modulus, rows, len(inst.pairs), wedges, *sizes)
 
 
 def _skew_collisions(
-    modulus: int | None,
-    partners: dict[int, tuple[int, ...]],
-    wedges: int,
-    d_size: int,
-    b_size: int,
+    modulus: int | None, partners: _Partners, pairs: int, wedges: int, d_size: int, b_size: int
 ) -> int:
     rows = _labelled_rows(modulus, 2, partners)
-    if d_size * b_size <= wedges:
+    # numbering a pair costs what the dense table saves on about four
+    # wedges, and a slot what it saves on half of one
+    if d_size * b_size + 8 * pairs < 2 * wedges:
         return _skew_collisions_dense(rows)
     return _skew_collisions_sparse(rows)
 
@@ -413,29 +403,47 @@ def reconstruct_pair(
     return (Wedge(a0, b0, b0_2), Wedge(a1, partner1, b1_2))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Inequality:
-    """One exact comparison lhs <= rhs, both rationals."""
+    """One exact comparison lhs <= rhs of rationals, each side kept as an
+    integer numerator over a positive integer denominator.
+
+    holds is decided on the integers, lhs_num * rhs_den <= rhs_num * lhs_den;
+    the Fraction sides lhs, rhs and slack are built only when read.
+    """
 
     name: str
-    lhs: Fraction
-    rhs: Fraction
+    lhs_num: int
+    rhs_num: int
+    lhs_den: int = 1
+    rhs_den: int = 1
+    holds: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        if self.lhs_den < 1 or self.rhs_den < 1:
+            raise ValueError(f"{self.name}: denominators must be >= 1")
+        self.holds = self.lhs_num * self.rhs_den <= self.rhs_num * self.lhs_den
 
     @property
-    def holds(self) -> bool:
-        return self.lhs <= self.rhs
+    def lhs(self) -> Fraction:
+        return Fraction(self.lhs_num, self.lhs_den)
+
+    @property
+    def rhs(self) -> Fraction:
+        return Fraction(self.rhs_num, self.rhs_den)
 
     @property
     def slack(self) -> Fraction:
         return self.rhs - self.lhs
 
     def to_json_dict(self) -> dict:
+        lhs, rhs, slack = self.lhs, self.rhs, self.slack
         return {
             "name": self.name,
-            "lhs": {"num": self.lhs.numerator, "den": self.lhs.denominator},
-            "rhs": {"num": self.rhs.numerator, "den": self.rhs.denominator},
+            "lhs": {"num": lhs.numerator, "den": lhs.denominator},
+            "rhs": {"num": rhs.numerator, "den": rhs.denominator},
             "holds": self.holds,
-            "slack": {"num": self.slack.numerator, "den": self.slack.denominator},
+            "slack": {"num": slack.numerator, "den": slack.denominator},
         }
 
 
@@ -475,21 +483,17 @@ def verify_three_slice_chain(
     quads = _linked_quads(reduced.group.modulus, rows, wedges, c_size, b_size)
     n = budget
     inequalities = (
-        Inequality("wedge-count-lower", Fraction(relation**2, n), Fraction(wedges)),
+        Inequality("wedge-count-lower", relation**2, wedges, lhs_den=n),
+        Inequality("quad-count-lower-budget", wedges**4, quads, lhs_den=n**6),
         Inequality(
-            "quad-count-lower-budget", Fraction(wedges**4, n**6), Fraction(quads)
+            "quad-count-lower-exact", wedges**4, quads, lhs_den=max(1, c_size**3 * b_size**3)
         ),
-        Inequality(
-            "quad-count-lower-exact",
-            Fraction(wedges**4, max(1, c_size**3 * b_size**3)),
-            Fraction(quads),
-        ),
-        Inequality("quad-count-upper", Fraction(quads), Fraction(n**2 * wedges)),
-        Inequality("wedge-count-upper", Fraction(wedges**3), Fraction(n**8)),
+        Inequality("quad-count-upper", quads, n**2 * wedges),
+        Inequality("wedge-count-upper", wedges**3, n**8),
         Inequality(
             "difference-count-upper",
-            Fraction(relation**THREE_SLICE_EXPONENT.denominator),
-            Fraction(n**THREE_SLICE_EXPONENT.numerator),
+            relation**THREE_SLICE_EXPONENT.denominator,
+            n**THREE_SLICE_EXPONENT.numerator,
         ),
     )
     return ChainReport(
@@ -511,23 +515,19 @@ def verify_four_slice_chain(
     relation = len(reduced.pairs)
     rows, wedges = _capped_partners(reduced, cap)
     d_size, b_size = sizes["D"], sizes["B"]
-    collisions = _skew_collisions(reduced.group.modulus, rows, wedges, d_size, b_size)
+    collisions = _skew_collisions(reduced.group.modulus, rows, relation, wedges, d_size, b_size)
     n = budget
     inequalities = (
+        Inequality("pair-count-lower-budget", wedges**2, collisions, lhs_den=n**2),
         Inequality(
-            "pair-count-lower-budget", Fraction(wedges**2, n**2), Fraction(collisions)
+            "pair-count-lower-exact", wedges**2, collisions, lhs_den=max(1, d_size * b_size)
         ),
-        Inequality(
-            "pair-count-lower-exact",
-            Fraction(wedges**2, max(1, d_size * b_size)),
-            Fraction(collisions),
-        ),
-        Inequality("pair-count-upper", Fraction(collisions), Fraction(n**3)),
-        Inequality("wedge-count-upper", Fraction(wedges**2), Fraction(n**5)),
+        Inequality("pair-count-upper", collisions, n**3),
+        Inequality("wedge-count-upper", wedges**2, n**5),
         Inequality(
             "difference-count-upper",
-            Fraction(relation**FOUR_SLICE_EXPONENT.denominator),
-            Fraction(n**FOUR_SLICE_EXPONENT.numerator),
+            relation**FOUR_SLICE_EXPONENT.denominator,
+            n**FOUR_SLICE_EXPONENT.numerator,
         ),
     )
     return ChainReport(

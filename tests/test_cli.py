@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from frozen_verify import VERIFY_CASES
 from arithproj.cli import main
 from arithproj.patterns import EXAMPLE_ONE_PATTERN
 
@@ -118,6 +119,25 @@ def test_verify_both_chains(tmp_path, capsys):
     assert doc["chain-6"]["all_hold"] is True
     assert doc["chain-4"]["all_hold"] is True
     assert doc["chain-4"]["cardinalities"]["relation"] == 64
+
+
+@pytest.mark.parametrize("case", list(VERIFY_CASES), ids=lambda case: "-".join(map(str, case)))
+def test_verify_output_frozen(tmp_path, capsys, case):
+    """verify prints the recorded bytes and exit code in every format."""
+    kind, n, budget, chain = case
+    want = VERIFY_CASES[case]
+    path = str(tmp_path / "inst.json")
+    assert main(["construct", kind, "--n", str(n), "--out", path]) == 0
+    capsys.readouterr()
+    doc = "" if want.json is None else json.dumps(want.json, indent=2, sort_keys=True)
+    printed = {
+        "json": doc + "\n" if doc else "",
+        "csv": "".join(line + "\r\n" for line in want.csv),
+        "text": "".join(line + "\n" for line in want.text),
+    }
+    for fmt, stdout in printed.items():
+        argv = ["verify", path, "--N", budget, "--chain", chain, "--output", fmt]
+        assert run(capsys, argv) == (want.exit_code, stdout, want.stderr), fmt
 
 
 def test_verify_csv_rows(tmp_path, capsys):

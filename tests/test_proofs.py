@@ -27,6 +27,7 @@ from arithproj.instances import (
 )
 from arithproj.patterns import build_example_one, build_example_two
 from arithproj.proofs import (
+    Inequality,
     Wedge,
     collision_fingerprint,
     count_linked_quads,
@@ -347,6 +348,17 @@ def test_dense_rule_reads_the_slice_sizes(monkeypatch):
     verify_three_slice_chain(ex2, 4**4)
     verify_four_slice_chain(ex2, 4**4)
     assert picked == ["_linked_quads_dense", "_skew_collisions_dense"]
+    # 18 pairs, 82 wedges: 399 quad slots, under 12 per wedge, go dense;
+    # 45 collision slots fit inside the wedges, but numbering the 18 pairs
+    # costs more than the dense table saves, so the collisions stay sparse
+    small = reduce_to_difference_injective(random_instance(random.Random(33)))
+    assert (len(small.pairs), wedge_count(small)) == (18, 82)
+    c, d, b = len(project(small, SUM)), len(project(small, SKEW_SUM)), len(small.b_set)
+    assert (c * c + c * b + b * b, d * b) == (399, 45)
+    picked.clear()
+    count_linked_quads(small)
+    count_skew_collisions(small)
+    assert picked == ["_linked_quads_dense", "_skew_collisions_sparse"]
 
 
 def exhaustive_round_trip(inst: Instance) -> tuple[int, int]:
@@ -447,6 +459,63 @@ def test_reconstruction_error_cases():
         reconstruct_quad(bad, Wedge(0, 0, 0), 0, 0)
     with pytest.raises(NotDifferenceInjective):
         reconstruct_pair(bad, 0, 0, 0)
+
+
+def inequality_terms() -> list[tuple[int, int, int, int]]:
+    """1,000 seeded (lhs_num, lhs_den, rhs_num, rhs_den): small terms,
+    200-digit terms, exact ties and ties missed by one."""
+    rng = random.Random(97)
+    big = 10**199
+    terms = []
+    for i in range(1000):
+        kind = i % 4
+        if kind == 0:
+            small = (rng.randint(-50, 50), rng.randint(1, 12))
+            terms.append(small + (rng.randint(-50, 50), rng.randint(1, 12)))
+            continue
+        num, den = rng.randint(-10 * big, 10 * big), rng.randint(big, 10 * big)
+        if kind == 1:
+            other = (rng.randint(-10 * big, 10 * big), rng.randint(big, 10 * big))
+            terms.append((num, den) + other)
+            continue
+        k, m = rng.randint(1, big), rng.randint(1, big)
+        terms.append((k * num, k * den, m * num + (kind == 3) * rng.choice((-1, 1)), m * den))
+    return terms
+
+
+def test_inequality_holds_on_integer_terms():
+    ties = 0
+    for lhs_num, lhs_den, rhs_num, rhs_den in inequality_terms():
+        lhs, rhs = Fraction(lhs_num, lhs_den), Fraction(rhs_num, rhs_den)
+        ineq = Inequality("t", lhs_num, rhs_num, lhs_den=lhs_den, rhs_den=rhs_den)
+        assert ineq.holds == (lhs <= rhs)
+        ties += lhs == rhs
+    assert ties >= 250
+
+
+def test_inequality_fraction_sides():
+    for lhs_num, lhs_den, rhs_num, rhs_den in inequality_terms()[::7]:
+        lhs, rhs = Fraction(lhs_num, lhs_den), Fraction(rhs_num, rhs_den)
+        ineq = Inequality("t", lhs_num, rhs_num, lhs_den=lhs_den, rhs_den=rhs_den)
+        assert (ineq.lhs, ineq.rhs, ineq.slack) == (lhs, rhs, rhs - lhs)
+        assert ineq.to_json_dict() == {
+            "name": "t",
+            "lhs": {"num": lhs.numerator, "den": lhs.denominator},
+            "rhs": {"num": rhs.numerator, "den": rhs.denominator},
+            "holds": lhs <= rhs,
+            "slack": {"num": (rhs - lhs).numerator, "den": (rhs - lhs).denominator},
+        }
+    # the denominator defaults to 1
+    assert Inequality("t", 3, 2).lhs == Fraction(3)
+    assert not Inequality("t", 3, 2).holds
+
+
+@pytest.mark.parametrize("den", [0, -1, -(10**200)])
+def test_inequality_rejects_non_positive_denominators(den):
+    with pytest.raises(ValueError):
+        Inequality("t", 1, 1, lhs_den=den)
+    with pytest.raises(ValueError):
+        Inequality("t", 1, 1, rhs_den=den)
 
 
 def test_three_slice_chain_report_shape():

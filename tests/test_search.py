@@ -308,6 +308,19 @@ def test_k5_constrained_branch_bound_frozen_optimum():
     assert certify(result, spec).ok
 
 
+def test_k6_constrained_branch_bound_frozen_optimum():
+    spec = SearchSpec(alphabet_max=6, constrain_d=True, mode="branch-bound")
+    result = search(spec)
+    assert result.exhaustive
+    assert result.nodes_explored == frozen.K6_CONSTRAINED_BRANCH_BOUND_NODES
+    assert result.best_score == frozen.K6_CONSTRAINED_BEST_SCORE
+    assert len(result.witnesses) == 12
+    assert {w.pairs for w in result.witnesses} == frozen.K6_CONSTRAINED_WITNESSES
+    # every K=5 constrained optimum still fits in the larger alphabet
+    assert frozen.K5_CONSTRAINED_WITNESSES <= frozen.K6_CONSTRAINED_WITNESSES
+    assert certify(result, spec).ok
+
+
 def test_walk_compares_each_score_once_per_incumbent(monkeypatch):
     calls = []
     compare = search_module.compare_scores
