@@ -14,21 +14,26 @@ A group is a diagonal x - y = d in the difference-injective space and a
 single cell (in x-major order) otherwise.  The walk recurses at most once
 per group, so a spec may have at most _GROUP_LIMIT groups.
 
-The walk keeps one flat tally list with a block of slots per budgeted
-slice and the number of distinct values per slice.  In the
-difference-injective space every chosen cell adds a new difference, so
-#differences is the number of chosen cells; only the space where pairs may
-share a difference keeps a block of difference slots as well.  The max
-slice is passed down the walk: a cell whose slots read 0 raises those
-slices by one, so a child's max slice is its parent's, plus one when such a
-slice is already at the max.  Each node is counted, checked against the
-budget and pruned in its parent, so a pruned child or a leaf costs no call;
-only a child that is expanded pushes its cell's slots and pops them after.
-The children of the last group are leaves and are scored straight from the
-tallies, without a push.  Branch-and-bound mode prunes a subtree only when
-even one more pair per remaining group could not reach the incumbent's
-score.  Only a leaf that ties or beats the incumbent is built as a pattern
-and canonicalized.
+The walk passes its state down as arguments, so choosing a cell pushes and
+pops nothing.  The state is one int occupancy mask, with a bit per value of
+each budgeted slice that the chosen cells take (and, only where pairs may
+share a difference, a bit per difference), the slice sizes packed into
+another int, the max slice, #differences and the cells as a linked chain.
+Each slice's bit block spans the values its form (alpha, beta) takes on
+{0..K}^2, from K*(min(alpha,0) + min(beta,0)) to K*(max(alpha,0) +
+max(beta,0)).  In the difference-injective space every chosen cell adds a
+new difference, so #differences is the number of chosen cells.  Each node
+computes once the mask of absent values in the slices at the max; a cell
+raises the max by one exactly when one AND with that mask is nonzero.  Each
+node is counted, checked against the budget and pruned in its parent, so a
+pruned child or a leaf costs no call.  The last group is a single cell in
+both spaces, (K, 0) or (K, K), so its two leaves are scored straight in
+their parent.  Branch-and-bound mode prunes a subtree only when even one
+more pair per remaining group could not reach the incumbent's score.  A
+node reads that verdict once for its children that keep the max and once
+for those that raise it, the latter again after the incumbent rose.  Only
+a leaf that ties or beats the incumbent is built as a pattern and
+canonicalized.
 
 Score comparisons are decided exactly by the root rule of compare_scores:
 log ratios whose numbers share primitive roots compare through one integer
@@ -43,11 +48,12 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArithprojError
-from .instances import DIFFERENCE, budgeted_slices, project, slice_sizes
+from .instances import DIFFERENCE, LinearForm, budgeted_slices, project, slice_sizes
 from .patterns import DigitPattern, max_slice, tensor_pattern, tensor_sizes
 
 __all__ = [
@@ -238,18 +244,34 @@ def _exponent(count: int, slice_size: int) -> float:
     return math.log(count) / math.log(slice_size) if count > 1 else 0.0
 
 
-class _Verdicts(dict):
-    """compare_scores(*score, *incumbent) per score, each computed once."""
+class _Memo(dict):
+    """A dict that fills each missing key with f(key), once."""
 
-    def __init__(self, incumbent: tuple[int, int] | None) -> None:
+    def __init__(self, f) -> None:
         super().__init__()
-        self.incumbent = incumbent
+        self.f = f
 
-    def __missing__(self, score: tuple[int, int]) -> int:
-        if self.incumbent is None:
-            return 1  # anything that scores beats no incumbent
-        sign = self[score] = compare_scores(*score, *self.incumbent)
-        return sign
+    def __missing__(self, key):
+        value = self[key] = self.f(key)
+        return value
+
+
+def _bit_blocks(forms: list[LinearForm], k: int) -> list[tuple[int, int]]:
+    """Occupancy bit blocks for the values of each form on {0..k}²: (offset, mask).
+
+    Form (alpha, beta) takes the values k*(min(alpha,0) + min(beta,0))
+    through k*(max(alpha,0) + max(beta,0)) there.  Value v sits at bit
+    offset + v, and mask covers the form's block; the blocks follow one
+    another from bit 0.
+    """
+    blocks = []
+    start = 0
+    for form in forms:
+        low = k * (min(form.alpha, 0) + min(form.beta, 0))
+        width = k * (max(form.alpha, 0) + max(form.beta, 0)) - low + 1
+        blocks.append((start - low, ((1 << width) - 1) << start))
+        start += width
+    return blocks
 
 
 def search(spec: SearchSpec) -> SearchResult:
@@ -267,124 +289,153 @@ def search(spec: SearchSpec) -> SearchResult:
         ]
     else:
         cell_groups = [[(x, y)] for x in range(k + 1) for y in range(k + 1)]
-    # one block of tally slots per budgeted slice, then (only when pairs may
-    # share a difference) one block for the differences
+    # one block of bits per budgeted slice, then (only when pairs may share
+    # a difference) one block for the differences
     forms = list(budgeted_slices(spec.constrain_d).values())
-    width = 4 * k + 1  # every form's value, offset by k, lies in 0..4k
-    dbase = len(forms) * width + k
+    blocks = _bit_blocks(forms + ([] if injective else [DIFFERENCE]), k)
+    slice_blocks = [mask for _, mask in blocks[: len(forms)]]
     groups = [
         [
             (
                 cell,
-                tuple((j, j * width + k + f(*cell)) for j, f in enumerate(forms)),
-                None if injective else dbase + DIFFERENCE(*cell),
+                sum(1 << offset + f(*cell) for f, (offset, _) in zip(forms, blocks)),
+                0 if injective else 1 << blocks[-1][0] + DIFFERENCE(*cell),
             )
             for cell in group
         ]
         for group in cell_groups
     ]
+    # the slice sizes travel packed, one field per slice, each field wide
+    # enough for every slice bit: grow[new] is what the new values in new
+    # add to them, and at_max[sizes] the blocks of the slices at the max
+    field = slice_blocks[-1].bit_length().bit_length()
+    grow = _Memo(
+        lambda new: sum(1 << field * j for j, b in enumerate(slice_blocks) if new & b)
+    )
+
+    def blocks_at_max(sizes: int) -> int:
+        values = [sizes >> field * j & (1 << field) - 1 for j in range(len(forms))]
+        top = max(values)
+        return sum(b for b, v in zip(slice_blocks, values) if v == top)
+
+    at_max = _Memo(blocks_at_max)
     last = len(groups)
-    budget = spec.node_budget
+    # the last group is one cell in both spaces: the diagonal x - y = k
+    # holds only (k, 0), and the x-major cells end at (k, k)
+    ((last_cell, last_bits, last_dbit),) = groups[-1]
+    limit = spec.node_budget or sys.maxsize  # the node count never gets there
     prune = spec.mode == "branch-bound"
-    tally = [0] * ((len(forms) + (not injective)) * width)  # cells per form value
-    sizes = [0] * len(forms)  # distinct values per budgeted slice
-    differences = 0  # distinct differences, when pairs may share one
-    chosen: list[tuple[int, int]] = []
     nodes = 1  # the root, the one node no parent counts
     best: tuple[int, int] | None = None  # (#differences, max slice)
-    verdicts = _Verdicts(best)
+    # compare_scores(*score, *best) per score, asked once per incumbent;
+    # anything that scores beats no incumbent
+    verdicts = _Memo(lambda score: 1)
     ties: dict[tuple[tuple[int, int], ...], DigitPattern] = {}  # by canonical pairs
 
-    def record(score: tuple[int, int], sign: int, pairs) -> None:
+    def record(score: tuple[int, int], sign: int, chain) -> None:
         # only ties and new bests are canonicalized: scores are
         # symmetry-invariant and best only rises, so a class that lost
         # once can never tie later
         nonlocal best, ties, verdicts
+        pairs = []
+        while chain:
+            cell, chain = chain
+            pairs.append(cell)
         pattern = canonicalize(DigitPattern(tuple(pairs), spec.constrain_d))
         if sign > 0:
-            best, ties, verdicts = score, {}, _Verdicts(score)
+            best, ties = score, {}
+            verdicts = _Memo(lambda other: compare_scores(*other, *score))
         ties.setdefault(pattern.pairs, pattern)
 
-    def expand(index: int, top: int) -> bool:
+    def expand(
+        index: int, occ: int, sizes: int, top: int, count: int, size: int, chain, rises=None
+    ) -> bool:
         """Visit the children of a counted node; True once the budget is hit.
 
-        top is the max slice of the chosen cells.  Each child is counted
-        here, before it is scored, pruned or expanded.
+        occ has a bit per value of each budgeted slice (and per difference
+        when pairs may share one) that the chosen cells take, and sizes
+        packs the slice sizes; top is the max slice of the chosen cells,
+        count their #differences and size their number.  chain links them
+        as (cell, chain), () at the root.  rises, when given, is the mask
+        of values that raise the max.  Each child is counted here, before
+        it is scored, pruned or expanded.
         """
-        nonlocal nodes, differences
+        nonlocal nodes
+        if rises is None:
+            # the absent values of the slices at the max: a cell that takes
+            # one raises the max by one
+            rises = at_max[sizes] & ~occ
         child = index + 1
         if child == last:
-            # the children are leaves, scored from the tallies: a cell's
-            # slots that read 0 raise their slice by one, nothing is pushed
-            count = len(chosen) if injective else differences
+            # the children are leaves, scored without a call: the node
+            # itself, and the one cell of the last group with it
             nodes += 1
-            if budget is not None and nodes > budget:
+            if nodes > limit:
                 return True
             if top >= 2:
                 sign = verdicts[count, top]
                 if sign >= 0:
-                    record((count, top), sign, chosen)
-            for cell, slots, dslot in groups[index]:
-                nodes += 1
-                if budget is not None and nodes > budget:
-                    return True
-                leaf_top = top
-                for j, slot in slots:
-                    if not tally[slot] and sizes[j] == top:
-                        leaf_top += 1
-                        break
-                if leaf_top < 2:
-                    continue
-                leaf_count = count + 1 if dslot is None else count + (not tally[dslot])
+                    record((count, top), sign, chain)
+            nodes += 1
+            if nodes > limit:
+                return True
+            leaf_top = top + 1 if last_bits & rises else top
+            if leaf_top >= 2:
+                leaf_count = count + (not occ & last_dbit)
                 sign = verdicts[leaf_count, leaf_top]
                 if sign >= 0:
-                    record((leaf_count, leaf_top), sign, (*chosen, cell))
+                    record((leaf_count, leaf_top), sign, (last_cell, chain))
             return False
         # prune only strictly dominated subtrees: slices are monotone under
         # adding cells, so a tie here may still hide a witness; the bound
         # gives each group after the child one more pair
-        bound = len(chosen) + last - child
+        bound = size + last - child
         nodes += 1
-        if budget is not None and nodes > budget:
+        if nodes > limit:
             return True
         if not (prune and top >= 2 and verdicts[bound, top] < 0):
-            if expand(child, top):
+            if expand(child, occ, sizes, top, count, size, chain, rises):
                 return True
+        # whether a cell child that keeps or raises the max may beat the
+        # incumbent, each read once when first needed
         bound += 1
-        for cell, slots, dslot in groups[index]:
+        keeps = raises = None if prune else True
+        seen = best
+        for cell, bits, dbit in groups[index]:
             nodes += 1
-            if budget is not None and nodes > budget:
+            if nodes > limit:
                 return True
-            child_top = top
-            for j, slot in slots:
-                if not tally[slot] and sizes[j] == top:
-                    child_top += 1
-                    break
-            if prune and child_top >= 2 and verdicts[bound, child_top] < 0:
-                continue
-            for j, slot in slots:
-                if not tally[slot]:
-                    sizes[j] += 1
-                tally[slot] += 1
-            if dslot is not None:
-                if not tally[dslot]:
-                    differences += 1
-                tally[dslot] += 1
-            chosen.append(cell)
-            if expand(child, child_top):
+            if bits & rises:
+                if raises is None:
+                    raises = top < 1 or verdicts[bound, top + 1] >= 0
+                if not raises:
+                    continue
+                child_top = top + 1
+            else:
+                if keeps is None:
+                    keeps = top < 2 or verdicts[bound, top] >= 0
+                if not keeps:
+                    continue
+                child_top = top
+            if expand(
+                child,
+                occ | bits | dbit,
+                sizes + grow[bits & ~occ],
+                child_top,
+                count + (not occ & dbit),
+                size + 1,
+                (cell, chain),
+            ):
                 return True
-            chosen.pop()
-            for j, slot in slots:
-                tally[slot] -= 1
-                if not tally[slot]:
-                    sizes[j] -= 1
-            if dslot is not None:
-                tally[dslot] -= 1
-                if not tally[dslot]:
-                    differences -= 1
+            if prune and best is not seen:
+                # a new incumbent comes from a leaf below, which scores at
+                # most (bound, top), so only the verdict on a raised max
+                # can fall
+                raises = None
+                seen = best
         return False
 
-    exhausted = expand(0, 0)
+    exhausted = expand(0, 0, 0, 0, 0, 0, ())
     witnesses = sorted(ties.values(), key=lambda p: (len(p.pairs), p.pairs))
     return SearchResult(tuple(witnesses[:_WITNESS_CAP]), not exhausted, nodes, best)
 

@@ -237,3 +237,36 @@ def test_random_instance_shape():
         saw_integers = saw_integers or not inst.group.is_modular
         saw_empty = saw_empty or not inst.pairs
     assert saw_modular and saw_integers and saw_empty
+
+
+@pytest.mark.parametrize(
+    "modulus, twin, with_d",
+    # over Z/3, a - b = a + 2b; over Z/2, a - b = a + b
+    [(3, SKEW_SUM, True), (2, SUM, False)],
+)
+def test_torsion_difference_is_a_budgeted_slice(modulus, twin, with_d):
+    """The difference set is a budgeted slice, so the exponent is at most 1."""
+    rng = random.Random(modulus)
+    group = AmbientGroup.integers_mod(modulus)
+    for _ in range(300):
+        a_set = rng.sample(range(modulus), rng.randrange(1, modulus + 1))
+        b_set = rng.sample(range(modulus), rng.randrange(1, modulus + 1))
+        density = rng.random()
+        pairs = tuple((a, b) for a in a_set for b in b_set if rng.random() < density)
+        inst = Instance(group=group, a_set=tuple(a_set), b_set=tuple(b_set), pairs=pairs)
+        differences = project(inst, DIFFERENCE)
+        assert differences == project(inst, twin)
+        assert len(differences) <= max(slice_sizes(inst, with_d=with_d).values())
+
+
+def test_torsion_z3_needs_the_skew_slice():
+    """Over Z/3 three differences fit in A, B and C of size 2; D has all three."""
+    inst = Instance(
+        group=AmbientGroup.integers_mod(3),
+        a_set=(0, 1),
+        b_set=(0, 1),
+        pairs=((0, 0), (0, 1), (1, 0)),
+    )
+    assert len(project(inst, DIFFERENCE)) == 3
+    assert slice_sizes(inst) == {"A": 2, "B": 2, "C": 2}
+    assert slice_sizes(inst, with_d=True)["D"] == 3

@@ -13,6 +13,7 @@ import pytest
 
 import frozen
 from arithproj.errors import ArithprojError
+from arithproj.instances import DIFFERENCE, SLICES, LinearForm, budgeted_slices
 from arithproj.patterns import (
     EXAMPLE_ONE_PATTERN,
     EXAMPLE_TWO_PATTERN,
@@ -319,6 +320,24 @@ def test_k6_constrained_branch_bound_frozen_optimum():
     # every K=5 constrained optimum still fits in the larger alphabet
     assert frozen.K5_CONSTRAINED_WITNESSES <= frozen.K6_CONSTRAINED_WITNESSES
     assert certify(result, spec).ok
+
+
+def test_bit_blocks_hold_every_cell_value():
+    """Each form's block spans exactly its values on {0..K}², blocks disjoint."""
+    forms = [*SLICES.values(), LinearForm(1, 3), DIFFERENCE]
+    for k in range(10):
+        taken = 0
+        for form, (offset, mask) in zip(forms, search_module._bit_blocks(forms, k)):
+            assert not taken & mask
+            taken |= mask
+            values = {form(x, y) for x in range(k + 1) for y in range(k + 1)}
+            assert all(1 << offset + v & mask for v in values)
+            assert mask & -mask == 1 << offset + min(values)
+            assert mask.bit_length() == offset + max(values) + 1
+        assert taken == (1 << taken.bit_length()) - 1
+    # the three-slice masks fit one 30-bit int digit up to K=6
+    three = list(budgeted_slices().values())
+    assert max(m for _, m in search_module._bit_blocks(three, 6)).bit_length() == 27
 
 
 def test_walk_compares_each_score_once_per_incumbent(monkeypatch):
@@ -639,6 +658,15 @@ def test_budget_cuts_match_the_one_call_per_node_walk():
         for constrain_d in (False, True)
         for mode in ("exhaustive", "branch-bound")
     ]
+    # the benchmark's any-subset walk, whose difference count rides the walk
+    cases.append(
+        (
+            SearchSpec(
+                alphabet_max=3, mode="branch-bound", require_difference_injective=False
+            ),
+            997,
+        )
+    )
     for spec, stride in cases:
         expected = reference_results(spec)
         total = len(expected)
