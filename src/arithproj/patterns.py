@@ -139,12 +139,7 @@ def tensor_sizes(pattern: DigitPattern, length: int) -> dict[str, int]:
     return sizes
 
 
-def tensor_pattern(
-    pattern: DigitPattern,
-    length: int,
-    base: int | None = None,
-    pair_cap: int = DEFAULT_PAIR_CAP,
-) -> Instance:
+def tensor_pattern(pattern: DigitPattern, length: int, base: int | None = None) -> Instance:
     """Materialize the length-digit instance of the pattern over the integers.
 
     Built one digit at a time: digit i adds (x * base**i, y * base**i) for
@@ -152,9 +147,9 @@ def tensor_pattern(
     Every combination of alphabet digits occurs in some tensored pair, so A
     and B are the two coordinate projections of the pairs.  Raises
     InvalidBase below the carry-free threshold, and InstanceTooLarge when
-    length exceeds 63 digits, when the pair count would exceed pair_cap, or
-    when the largest element, max digit * (base**length - 1) / (base - 1),
-    would exceed ELEMENT_MAGNITUDE_CAP.
+    length exceeds 63 digits, when the pair count would exceed
+    DEFAULT_PAIR_CAP, or when the largest element, max digit *
+    (base**length - 1) / (base - 1), would exceed ELEMENT_MAGNITUDE_CAP.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
@@ -169,9 +164,9 @@ def tensor_pattern(
     digit_cap = ELEMENT_MAGNITUDE_CAP.bit_length()
     if length > digit_cap:
         raise InstanceTooLarge(f"{length} digits exceed cap {digit_cap}")
-    if len(pattern.pairs) ** length > pair_cap:
+    if len(pattern.pairs) ** length > DEFAULT_PAIR_CAP:
         raise InstanceTooLarge(
-            f"{len(pattern.pairs)}**{length} pairs exceed cap {pair_cap}"
+            f"{len(pattern.pairs)}**{length} pairs exceed cap {DEFAULT_PAIR_CAP}"
         )
     largest = max(map(max, pattern.pairs)) * (base**length - 1) // (base - 1)
     if largest > ELEMENT_MAGNITUDE_CAP:

@@ -18,9 +18,10 @@ label collisions gives two counting arguments:
 Both "determined by" claims are realized below as explicit reconstruction
 functions, so injectivity is checked by execution rather than argued.
 
-Every verdict is an integer comparison: an Inequality keeps each side as a
-numerator over a positive denominator and cross-multiplies, so x <= N^(p/q)
-is x**q <= N**p; its Fraction sides are built only when read.
+Every verdict is an integer comparison: an Inequality keeps its left side
+as a numerator over a positive denominator and its right side as an
+integer, and cross-multiplies, so x <= N^(p/q) is x**q <= N**p; its
+Fraction sides are built only when read.
 
 The ladder counts stream: count_linked_quads and count_skew_collisions run
 the fiber-sum recursion of chain_count_dp directly over the rows of one
@@ -151,19 +152,19 @@ def _numbered(rows: _Rows) -> tuple[_Rows, int, int]:
     return numbered, len(labels), len(partners)
 
 
-def enumerate_wedges(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> tuple[Wedge, ...]:
+def enumerate_wedges(inst: Instance) -> tuple[Wedge, ...]:
     out = []
-    for a, ys in sorted(_capped_partners(inst, cap)[0].items()):
+    for a, ys in sorted(_capped_partners(inst, DEFAULT_WEDGE_CAP)[0].items()):
         for b in ys:
             for b2 in ys:
                 out.append(Wedge(a, b, b2))
     return tuple(out)
 
 
-def linked_quad_problem(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> ChainProblem:
+def linked_quad_problem(inst: Instance) -> ChainProblem:
     """X = wedges, three labelings into C x C, B x B, C x B."""
     g = inst.group
-    wedges = enumerate_wedges(inst, cap=cap)
+    wedges = enumerate_wedges(inst)
     c_size = len(project(inst, SUM))
     b_size = len(inst.b_set)
     labelings = (
@@ -174,7 +175,7 @@ def linked_quad_problem(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> ChainPr
     return ChainProblem(items=wedges, labelings=labelings)
 
 
-def count_linked_quads(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> int:
+def count_linked_quads(inst: Instance) -> int:
     """Chains of the three linked_quad_problem labelings, by fiber sums.
 
     The fibers are rows indexed by partner or sum: c1[a+b] counts the row's
@@ -186,7 +187,7 @@ def count_linked_quads(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> int:
     wedges, so the count is one dot product per pair (a, b).  The tables
     are dense or sparse by the rule in the module docstring.
     """
-    rows, wedges = _capped_partners(inst, cap)
+    rows, wedges = _capped_partners(inst, DEFAULT_WEDGE_CAP)
     sizes = (len(project(inst, SUM)), len(inst.b_set))
     return _linked_quads(inst.group.modulus, rows, wedges, *sizes)
 
@@ -254,10 +255,10 @@ def _last_wedges(rows: _Rows, n3, c2) -> int:
     return quads
 
 
-def skew_collision_problem(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> ChainProblem:
+def skew_collision_problem(inst: Instance) -> ChainProblem:
     """X = wedges, one labeling into D x B."""
     g = inst.group
-    wedges = enumerate_wedges(inst, cap=cap)
+    wedges = enumerate_wedges(inst)
     d_size = len(project(inst, SKEW_SUM))
     b_size = len(inst.b_set)
     labelings = (
@@ -266,13 +267,13 @@ def skew_collision_problem(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> Chai
     return ChainProblem(items=wedges, labelings=labelings)
 
 
-def count_skew_collisions(inst: Instance, cap: int = DEFAULT_WEDGE_CAP) -> int:
+def count_skew_collisions(inst: Instance) -> int:
     """Ordered wedge pairs sharing (a+2b, b2): the sum of squared fiber sizes.
 
     fibers[a+2b] counts the row's partners b2, dense or sparse by the rule
     in the module docstring.
     """
-    rows, wedges = _capped_partners(inst, cap)
+    rows, wedges = _capped_partners(inst, DEFAULT_WEDGE_CAP)
     sizes = (len(project(inst, SKEW_SUM)), len(inst.b_set))
     return _skew_collisions(inst.group.modulus, rows, len(inst.pairs), wedges, *sizes)
 
@@ -405,24 +406,24 @@ def reconstruct_pair(
 
 @dataclass(slots=True)
 class Inequality:
-    """One exact comparison lhs <= rhs of rationals, each side kept as an
-    integer numerator over a positive integer denominator.
+    """One exact comparison lhs <= rhs: a rational left side, kept as an
+    integer numerator over a positive integer denominator, and an integer
+    right side.
 
-    holds is decided on the integers, lhs_num * rhs_den <= rhs_num * lhs_den;
-    the Fraction sides lhs, rhs and slack are built only when read.
+    holds is decided on the integers, lhs_num <= rhs_num * lhs_den; the
+    Fraction sides lhs, rhs and slack are built only when read.
     """
 
     name: str
     lhs_num: int
     rhs_num: int
     lhs_den: int = 1
-    rhs_den: int = 1
     holds: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.lhs_den < 1 or self.rhs_den < 1:
-            raise ValueError(f"{self.name}: denominators must be >= 1")
-        self.holds = self.lhs_num * self.rhs_den <= self.rhs_num * self.lhs_den
+        if self.lhs_den < 1:
+            raise ValueError(f"{self.name}: the denominator must be >= 1")
+        self.holds = self.lhs_num <= self.rhs_num * self.lhs_den
 
     @property
     def lhs(self) -> Fraction:
@@ -430,7 +431,7 @@ class Inequality:
 
     @property
     def rhs(self) -> Fraction:
-        return Fraction(self.rhs_num, self.rhs_den)
+        return Fraction(self.rhs_num)
 
     @property
     def slack(self) -> Fraction:

@@ -30,8 +30,8 @@ pruned child or a leaf costs no call.  The last group is a single cell in
 both spaces, (K, 0) or (K, K), so its two leaves are scored straight in
 their parent.  Branch-and-bound mode prunes a subtree only when even one
 more pair per remaining group could not reach the incumbent's score.  A
-node reads that verdict once for its children that keep the max and once
-for those that raise it, the latter again after the incumbent rose.  Only
+node reads that verdict at most once, for its children that raise the max;
+those that keep it repeat the verdict that admitted the node.  Only
 a leaf that ties or beats the incumbent is built as a pattern and
 canonicalized.
 
@@ -396,27 +396,25 @@ def search(spec: SearchSpec) -> SearchResult:
         if not (prune and top >= 2 and verdicts[bound, top] < 0):
             if expand(child, occ, sizes, top, count, size, chain, rises):
                 return True
-        # whether a cell child that keeps or raises the max may beat the
-        # incumbent, each read once when first needed
+        # a cell child that keeps the max needs no verdict: (bound, top)
+        # admitted this node or its nearest admitted ancestor (a skip
+        # child's cell bound is its parent's skip bound, a cell child's is
+        # its parent's), and every leaf found since scores at most that.
+        # The verdict for one that raises the max is read once, when first
+        # needed; a later incumbent could only prune more.
         bound += 1
-        keeps = raises = None if prune else True
-        seen = best
+        raises = None if prune else True
         for cell, bits, dbit in groups[index]:
             nodes += 1
             if nodes > limit:
                 return True
+            child_top = top
             if bits & rises:
                 if raises is None:
                     raises = top < 1 or verdicts[bound, top + 1] >= 0
                 if not raises:
                     continue
-                child_top = top + 1
-            else:
-                if keeps is None:
-                    keeps = top < 2 or verdicts[bound, top] >= 0
-                if not keeps:
-                    continue
-                child_top = top
+                child_top += 1
             if expand(
                 child,
                 occ | bits | dbit,
@@ -427,12 +425,6 @@ def search(spec: SearchSpec) -> SearchResult:
                 (cell, chain),
             ):
                 return True
-            if prune and best is not seen:
-                # a new incumbent comes from a leaf below, which scores at
-                # most (bound, top), so only the verdict on a raised max
-                # can fall
-                raises = None
-                seen = best
         return False
 
     exhausted = expand(0, 0, 0, 0, 0, 0, ())

@@ -221,6 +221,57 @@ def test_verify_non_integer_budget_exit_code(tmp_path, capsys):
     assert err.startswith("error:") and "--N" in err
 
 
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("verify", [[0, 1]]),
+        ("verify", {"group": "Q", "A": [0], "B": [0], "G": [[0, 0]]}),
+        ("verify", {"group": "Z", "A": 0, "B": [0], "G": [[0, 0]]}),
+        ("verify", {"group": "Z", "A": [0], "B": [0], "G": [[0, 0, 0]]}),
+        ("pattern", {"pairs": [[True, 1]]}),
+        ("pattern", {"pairs": [[1.5, 1]]}),
+        ("pattern", [[0, 1]]),
+        ("pattern", {"pairs": [[0, 1, 2]]}),
+        ("lemma", {"items": [0, 1, 2], "labelings": [{"labels": [1, 1]}]}),
+    ],
+)
+def test_malformed_documents_exit_code(command, doc, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = {
+        "verify": ["verify"],
+        "pattern": ["construct", "pattern-file", "--n", "1", "--pattern-file"],
+        "lemma": ["lemma"],
+    }[command]
+    code, stdout, err = run(capsys, [*argv, str(path)])
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_malformed_options_exit_code(tmp_path, capsys):
+    out = tmp_path / "inst.json"
+    assert main(["construct", "example1", "--n", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    for argv in (
+        ["verify", str(out), "--N", "0"],
+        ["construct", "pattern-file", "--n", "1"],
+    ):
+        code, stdout, err = run(capsys, argv)
+        assert code == 2, argv
+        assert stdout == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+    # argparse rejects the option itself: a usage block, then one error line
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(out), "--cap", "abc"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        "arithproj verify: error: argument --cap: invalid int value: 'abc'"
+    ]
+
+
 def test_lemma_problem_file(tmp_path, capsys):
     doc = {
         "items": [0, 1, 2],
@@ -412,6 +463,29 @@ def test_dimensions_table(capsys):
 
     code, stdout, _ = run(capsys, ["dimensions", "--n-min", "3", "--n-max", "2"])
     assert code == 2
+
+
+def test_key_value_csv(tmp_path, capsys):
+    """Payloads without table rows print one key,value row per top-level
+    key, in key order, each value as sorted-key JSON."""
+    problem = tmp_path / "problem.json"
+    doc = {"items": [0, 1, 2], "labelings": [{"labels": ["x", "x", "y"]}]}
+    problem.write_text(json.dumps(doc))
+    for argv in (
+        ["construct", "example1", "--n", "1", "--out", str(tmp_path / "inst.json")],
+        ["search", "--K", "2"],
+        ["lemma", str(problem)],
+    ):
+        code, stdout, _ = run(capsys, argv)
+        assert code == 0
+        payload = json.loads(stdout)
+        code, stdout, _ = run(capsys, [*argv, "--output", "csv"])
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(stdout)))
+        assert rows[0] == ["key", "value"]
+        assert [key for key, _ in rows[1:]] == sorted(payload)
+        for key, value in rows[1:]:
+            assert value == json.dumps(payload[key], sort_keys=True)
 
 
 def test_text_output_mode(capsys):

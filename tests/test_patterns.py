@@ -177,7 +177,7 @@ def test_tensor_pattern_errors():
     with pytest.raises(InvalidBase):
         tensor_pattern(EXAMPLE_ONE_PATTERN, 2, base=5)
     with pytest.raises(InstanceTooLarge):
-        tensor_pattern(EXAMPLE_ONE_PATTERN, 3, pair_cap=100)
+        tensor_pattern(EXAMPLE_ONE_PATTERN, 8)  # 6**8 pairs exceed the 10**6 cap
 
 
 def test_tensor_magnitude_cap_edge():

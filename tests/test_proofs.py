@@ -95,9 +95,21 @@ def test_wedge_enumeration_matches_definition():
 
 
 def test_wedge_cap():
-    inst = build_example_one(2)
-    with pytest.raises(EnumerationCapExceeded):
-        enumerate_wedges(inst, cap=10)
+    # one left element with 1,001 partners: 1,002,001 wedges, over the
+    # 10**6 cap, so each entry point raises before it enumerates
+    partners = tuple(range(1001))
+    pairs = tuple((0, b) for b in partners)
+    star = Instance(group=Z, a_set=(0,), b_set=partners, pairs=pairs)
+    assert wedge_count(star) == 1_002_001
+    for entry in (
+        enumerate_wedges,
+        linked_quad_problem,
+        skew_collision_problem,
+        count_linked_quads,
+        count_skew_collisions,
+    ):
+        with pytest.raises(EnumerationCapExceeded):
+            entry(star)
 
 
 def test_linked_counts_frozen():
@@ -248,10 +260,10 @@ def test_each_ladder_builds_partners_once(monkeypatch):
 def test_streaming_counts_respect_wedge_cap():
     inst = build_example_one(2)
     assert wedge_count(inst) == 144
-    for count in (count_linked_quads, count_skew_collisions):
+    for verify in (verify_three_slice_chain, verify_four_slice_chain):
         with pytest.raises(EnumerationCapExceeded):
-            count(inst, cap=143)
-        assert count(inst, cap=144) > 0
+            verify(inst, 81, cap=143)
+        assert verify(inst, 81, cap=144).cardinalities["wedges"] == 144
 
 
 def both_paths(inst: Instance) -> tuple[set[int], set[int]]:
@@ -461,42 +473,39 @@ def test_reconstruction_error_cases():
         reconstruct_pair(bad, 0, 0, 0)
 
 
-def inequality_terms() -> list[tuple[int, int, int, int]]:
-    """1,000 seeded (lhs_num, lhs_den, rhs_num, rhs_den): small terms,
-    200-digit terms, exact ties and ties missed by one."""
+def inequality_terms() -> list[tuple[int, int, int]]:
+    """1,000 seeded (lhs_num, lhs_den, rhs_num): small terms, 200-digit
+    terms, exact ties and ties missed by one."""
     rng = random.Random(97)
     big = 10**199
     terms = []
     for i in range(1000):
         kind = i % 4
         if kind == 0:
-            small = (rng.randint(-50, 50), rng.randint(1, 12))
-            terms.append(small + (rng.randint(-50, 50), rng.randint(1, 12)))
+            terms.append((rng.randint(-50, 50), rng.randint(1, 12), rng.randint(-5, 5)))
             continue
-        num, den = rng.randint(-10 * big, 10 * big), rng.randint(big, 10 * big)
+        den, rhs_num = rng.randint(big, 10 * big), rng.randint(-big, big)
         if kind == 1:
-            other = (rng.randint(-10 * big, 10 * big), rng.randint(big, 10 * big))
-            terms.append((num, den) + other)
+            terms.append((rng.randint(-10 * big * big, 10 * big * big), den, rhs_num))
             continue
-        k, m = rng.randint(1, big), rng.randint(1, big)
-        terms.append((k * num, k * den, m * num + (kind == 3) * rng.choice((-1, 1)), m * den))
+        terms.append((rhs_num * den + (kind == 3) * rng.choice((-1, 1)), den, rhs_num))
     return terms
 
 
 def test_inequality_holds_on_integer_terms():
     ties = 0
-    for lhs_num, lhs_den, rhs_num, rhs_den in inequality_terms():
-        lhs, rhs = Fraction(lhs_num, lhs_den), Fraction(rhs_num, rhs_den)
-        ineq = Inequality("t", lhs_num, rhs_num, lhs_den=lhs_den, rhs_den=rhs_den)
+    for lhs_num, lhs_den, rhs_num in inequality_terms():
+        lhs, rhs = Fraction(lhs_num, lhs_den), Fraction(rhs_num)
+        ineq = Inequality("t", lhs_num, rhs_num, lhs_den=lhs_den)
         assert ineq.holds == (lhs <= rhs)
         ties += lhs == rhs
     assert ties >= 250
 
 
 def test_inequality_fraction_sides():
-    for lhs_num, lhs_den, rhs_num, rhs_den in inequality_terms()[::7]:
-        lhs, rhs = Fraction(lhs_num, lhs_den), Fraction(rhs_num, rhs_den)
-        ineq = Inequality("t", lhs_num, rhs_num, lhs_den=lhs_den, rhs_den=rhs_den)
+    for lhs_num, lhs_den, rhs_num in inequality_terms()[::7]:
+        lhs, rhs = Fraction(lhs_num, lhs_den), Fraction(rhs_num)
+        ineq = Inequality("t", lhs_num, rhs_num, lhs_den=lhs_den)
         assert (ineq.lhs, ineq.rhs, ineq.slack) == (lhs, rhs, rhs - lhs)
         assert ineq.to_json_dict() == {
             "name": "t",
@@ -514,8 +523,6 @@ def test_inequality_fraction_sides():
 def test_inequality_rejects_non_positive_denominators(den):
     with pytest.raises(ValueError):
         Inequality("t", 1, 1, lhs_den=den)
-    with pytest.raises(ValueError):
-        Inequality("t", 1, 1, rhs_den=den)
 
 
 def test_three_slice_chain_report_shape():
