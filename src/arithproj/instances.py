@@ -107,15 +107,30 @@ class Instance:
         object.__setattr__(self, "b_set", b_sorted)
         object.__setattr__(self, "pairs", tuple(sorted(seen)))
 
+    @classmethod
+    def _unchecked(
+        cls,
+        group: AmbientGroup,
+        a_set: tuple[int, ...],
+        b_set: tuple[int, ...],
+        pairs: tuple[tuple[int, int], ...],
+    ) -> "Instance":
+        """An instance from parts already in stored form: canonical ints,
+        A and B sorted and distinct, pairs sorted, distinct and in A x B.
+
+        __post_init__ is skipped, so the caller vouches for every check it
+        would make.
+        """
+        inst = object.__new__(cls)
+        inst.__dict__.update(group=group, a_set=a_set, b_set=b_set, pairs=pairs)
+        return inst
+
     def _with_subrelation(self, pairs: tuple[tuple[int, int], ...]) -> "Instance":
         """This instance with G replaced by pairs, a sorted subset of G.
 
-        A subset of a validated relation needs no check, so __post_init__ is
-        skipped.
+        A subset of a validated relation needs no check.
         """
-        inst = object.__new__(type(self))
-        inst.__dict__.update(self.__dict__, pairs=pairs)
-        return inst
+        return self._unchecked(self.group, self.a_set, self.b_set, pairs)
 
     def partners(self) -> dict[int, tuple[int, ...]]:
         """For each a, the sorted tuple of b with (a, b) in G."""

@@ -142,8 +142,9 @@ def tensor_sizes(pattern: DigitPattern, length: int) -> dict[str, int]:
 def tensor_pattern(pattern: DigitPattern, length: int, base: int | None = None) -> Instance:
     """Materialize the length-digit instance of the pattern over the integers.
 
-    Built one digit at a time: digit i adds (x * base**i, y * base**i) for
-    every pattern pair (x, y), so every element is sum(digit_i * base**i).
+    Built one digit at a time, most significant first: each step takes a
+    value v to v * base + digit for every pattern pair (x, y), so every
+    element is sum(digit_i * base**i), and pairs, A and B come out sorted.
     Every combination of alphabet digits occurs in some tensored pair, so A
     and B are the two coordinate projections of the pairs.  Raises
     InvalidBase below the carry-free threshold, and InstanceTooLarge when
@@ -173,15 +174,26 @@ def tensor_pattern(pattern: DigitPattern, length: int, base: int | None = None) 
         raise InstanceTooLarge(
             f"largest element {largest} exceeds cap {ELEMENT_MAGNITUDE_CAP}"
         )
-    pairs, scale = [(0, 0)], 1
+    by_digit: dict[int, list[int]] = {}
+    for x, y in pattern.pairs:  # sorted, so each list of y digits is too
+        by_digit.setdefault(x, []).append(y)
+    # (a, partners of a), both sorted: appending a digit below the base to
+    # sorted values keeps them sorted
+    rows = [(0, [0])]
     for _ in range(length):
-        pairs = [(a + x * scale, b + y * scale) for a, b in pairs for x, y in pattern.pairs]
-        scale *= base
-    return Instance(
-        group=AmbientGroup.integers(),
-        a_set=tuple({a for a, _ in pairs}),
-        b_set=tuple({b for _, b in pairs}),
-        pairs=tuple(pairs),
+        rows = [
+            (a * base + x, [b * base + y for b in partners for y in ys])
+            for a, partners in rows
+            for x, ys in by_digit.items()
+        ]
+    pairs = tuple([(a, b) for a, partners in rows for b in partners])
+    # At or above min_base distinct digit strings give distinct integers, so
+    # the pairs are distinct and already in stored form: nothing is checked.
+    return Instance._unchecked(
+        AmbientGroup.integers(),
+        tuple([a for a, _ in rows]),
+        tuple(sorted({b for _, b in pairs})),
+        pairs,
     )
 
 

@@ -27,16 +27,25 @@ The ladder counts stream: count_linked_quads and count_skew_collisions run
 the fiber-sum recursion of chain_count_dp directly over the rows of one
 inst.partners() build, so no wedge or label tuple is built.  Each fiber
 table is indexed by the first coordinate of a label and counts the second.
-A rule on the slice sizes picks its form: dense int lists over the labels
-and partners that occur, numbered in one pass over the pairs (partners in
-value order), or int-keyed dicts holding at most one entry per wedge.  The
-quads go dense while #C^2 + #C*#B + #B^2 <= 12 * wedges; up to that ratio
-the dense tracemalloc peak stays at or below the sparse one.  The
-collisions go dense while #D*#B + 8 * #G < 2 * wedges, which also charges
-the numbering pass.  Both check the wedge cap on their partner rows and
-raise EnumerationCapExceeded before any table is allocated, and each
-verify_* ladder takes its wedge count from those rows and its sizes from
-require_hypotheses, so the rule costs no extra pass.
+A rule on the slice sizes picks its form: packed dense rows over the labels
+and partners that occur, numbered in one pass over the pairs, or int-keyed
+dicts holding at most one entry per wedge.  A packed row is one int with a
+fixed-width field per numbered label or partner, so a pair (a, b) adds a
+row's whole indicator with one big-int add, and each table is unpacked
+once, through int.to_bytes and memoryview.cast.  The dense quads are the
+sum over first wedges (a, b, b2) of c1[a+b][a+b2] * F3[b][b2], where F3[b]
+sums n3[a+b] & mask(partners of a) over the a with (a, b) in G.  A field is
+the narrowest of 8, 16, 32 or 64 bits that holds its proven maximum: c1 and
+n3 fields count at most #rows (a row meets a sum at one partner at most),
+F3 fields at most #rows^2, and collision fields at most #G, because a+2b
+repeats within a row mod an even m; a relation that fits no width takes
+the sparse path.  The quads go dense while #C^2 + #C*#B + #B^2 <=
+12 * wedges; up to that ratio the dense tracemalloc peak stays at or below
+the sparse one.  The collisions go dense while #D*#B + 8 * #G < 2 * wedges,
+which also charges the numbering pass.  Both check the wedge cap on their
+partner rows and raise EnumerationCapExceeded before any table is
+allocated, and each verify_* ladder takes its wedge count from those rows
+and its sizes from require_hypotheses, so the rule costs no extra pass.
 linked_quad_problem and skew_collision_problem build the same counts as
 explicit ChainProblems for cross-checking.
 """
@@ -44,6 +53,7 @@ explicit ChainProblems for cross-checking.
 from __future__ import annotations
 
 import operator
+import sys
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -136,20 +146,52 @@ def _labelled_rows(modulus: int | None, k: int, partners: _Partners) -> _Rows:
 
 def _numbered(rows: _Rows) -> tuple[_Rows, int, int]:
     """rows with labels numbered 0..#labels-1 and partners 0..#partners-1,
-    and both counts.  Partners are numbered in value order, so each row's
-    ids stay sorted."""
+    and both counts."""
     labels: set[int] = set()
     partners: set[int] = set()
     for ys, row_labels in rows:
         labels.update(row_labels)
         partners.update(ys)
     label_id = {s: i for i, s in enumerate(labels)}
-    partner_id = {b: i for i, b in enumerate(sorted(partners))}
+    partner_id = {b: i for i, b in enumerate(partners)}
     numbered = [
         (list(map(partner_id.__getitem__, ys)), list(map(label_id.__getitem__, row_labels)))
         for ys, row_labels in rows
     ]
     return numbered, len(labels), len(partners)
+
+
+# memoryview cast codes of the packed field widths, in bits
+_CAST_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+def _field_width(largest: int) -> int | None:
+    """The narrowest field width that holds largest, or None past 64 bits."""
+    for width in _CAST_CODES:
+        if largest >> width == 0:
+            return width
+    return None
+
+
+def _packed(ids: Sequence[int], width: int) -> int:
+    """A row's indicator: the field of width bits at each id set to 1."""
+    row = 0
+    for i in ids:
+        row |= 1 << (i * width)
+    return row
+
+
+def _unpacked(table: list[int], fields: int, width: int) -> list[list[int]]:
+    """Each packed int of table as the list of its first fields fields,
+    lowest bits first: one join and one cast for the whole table."""
+    size = fields * width // 8
+    data = b"".join([row.to_bytes(size, sys.byteorder) for row in table])
+    view = memoryview(data).cast(_CAST_CODES[width])
+    rows = [view[i * fields : (i + 1) * fields].tolist() for i in range(len(table))]
+    if sys.byteorder == "big":  # to_bytes put each row's highest field first
+        for values in rows:
+            values.reverse()
+    return rows
 
 
 def enumerate_wedges(inst: Instance) -> tuple[Wedge, ...]:
@@ -178,14 +220,19 @@ def linked_quad_problem(inst: Instance) -> ChainProblem:
 def count_linked_quads(inst: Instance) -> int:
     """Chains of the three linked_quad_problem labelings, by fiber sums.
 
-    The fibers are rows indexed by partner or sum: c1[a+b] counts the row's
-    sums a+b2 and n3[a+b] its partners b2, so they hold the fiber sizes of
-    (a+b, a+b2) and (a+b, b2).  c2[b] sums c1 over the fibers of (b, b2);
-    c1 is symmetric under swapping b and b2, so c2 is too, and it is summed
-    over the unordered partner pairs of each row, then mirrored.  A third
-    wedge (a, b, b2) ends c2[b][b2] chain heads and starts n3[a+b][b2] last
-    wedges, so the count is one dot product per pair (a, b).  The tables
-    are dense or sparse by the rule in the module docstring.
+    c1[a+b] counts the row's sums a+b2 and n3[a+b] its partners b2, so they
+    hold the fiber sizes of (a+b, a+b2) and (a+b, b2).  A first wedge
+    (a, b, b2) heads c1[a+b][a+b2] chains into the label (b, b2), and a
+    third wedge (a, b, b2) starts n3[a+b][b2] last wedges.  The sparse
+    tables sum c1 into c2[b][b2] over the unordered partner pairs of each
+    row, mirror it (c1 is symmetric under swapping b and b2, so c2 is too)
+    and end with one dot product of c2[b] and n3[a+b] per pair (a, b).  The
+    dense tables are packed rows: F3[b][b2] sums n3[a+b][b2] over the a
+    with (a, b) and (a, b2) in G, at one AND with a's row mask and one add
+    per pair, and the count is one dot product of c1[a+b] and F3[b] per pair
+    (a, b).  Fields are 8 to 64 bits wide: at most #rows for c1 and n3, at
+    most #rows^2 for F3.  The form is picked by the rule in the module
+    docstring.
     """
     rows, wedges = _capped_partners(inst, DEFAULT_WEDGE_CAP)
     sizes = (len(project(inst, SUM)), len(inst.b_set))
@@ -203,26 +250,39 @@ def _linked_quads(
 
 
 def _linked_quads_dense(rows: _Rows) -> int:
+    """Sum over first wedges (a, b, b2) of c1[a+b][a+b2] * F3[b][b2], on
+    packed rows: F3[b][b2] counts the last wedges of the third wedges
+    (a', b, b2) that the first wedge's chains reach."""
+    first = _field_width(len(rows))  # a c1 or n3 field counts rows
+    wide = _field_width(len(rows) ** 2)  # an F3 field sums n3 fields over rows
+    if wide is None:
+        return _linked_quads_sparse(rows)
     rows, n_c, n_b = _numbered(rows)
-    c1 = [[0] * n_c for _ in range(n_c)]
-    n3 = [[0] * n_b for _ in range(n_c)]
-    c2 = [[0] * n_b for _ in range(n_b)]
+    c1, n3 = [0] * n_c, [0] * n_c  # n3 has F3's width, so its fields add into F3
+    masks = []
+    full = (1 << wide) - 1
     for ys, sums in rows:
+        row_sums, row_partners = _packed(sums, first), _packed(ys, wide)
         for s in sums:
-            fiber = c1[s]
-            for t in sums:
-                fiber[t] += 1
-            fiber = n3[s]
-            for b2 in ys:
-                fiber[b2] += 1
-    for ys, sums in rows:  # ids keep the partners' order, so b <= b2 below
-        for i, (b, s) in enumerate(zip(ys, sums)):
-            fiber, head = c1[s], c2[b]
-            for b2, t in zip(ys[i:], sums[i:]):
-                head[b2] += fiber[t]
-    for b, column in enumerate(zip(*c2)):  # column[j] is c2[j][b], filled for j <= b
-        c2[b][:b] = column[:b]
-    return _last_wedges(rows, n3, c2)
+            c1[s] += row_sums
+            n3[s] += row_partners
+        masks.append(row_partners * full)
+    f3 = [0] * n_b
+    for (ys, sums), mask in zip(rows, masks):
+        for b, s in zip(ys, sums):
+            f3[b] += n3[s] & mask
+    del n3, masks
+    c1 = _unpacked(c1, n_c, first)
+    f3 = _unpacked(f3, n_b, wide)
+    quads = 0
+    for ys, sums in rows:
+        if len(ys) == 1:  # itemgetter of one index returns no tuple
+            quads += c1[sums[0]][sums[0]] * f3[ys[0]][ys[0]]
+            continue
+        at_sums, at_partners = operator.itemgetter(*sums), operator.itemgetter(*ys)
+        for b, s in zip(ys, sums):
+            quads += sum(map(operator.mul, at_sums(c1[s]), at_partners(f3[b])))
+    return quads
 
 
 def _linked_quads_sparse(rows: _Rows) -> int:
@@ -271,7 +331,9 @@ def count_skew_collisions(inst: Instance) -> int:
     """Ordered wedge pairs sharing (a+2b, b2): the sum of squared fiber sizes.
 
     fibers[a+2b] counts the row's partners b2, dense or sparse by the rule
-    in the module docstring.
+    in the module docstring.  A dense fiber is one packed int with a field
+    per partner of up to #G, not #rows, since a+2b repeats within a row
+    mod an even m.
     """
     rows, wedges = _capped_partners(inst, DEFAULT_WEDGE_CAP)
     sizes = (len(project(inst, SKEW_SUM)), len(inst.b_set))
@@ -290,14 +352,22 @@ def _skew_collisions(
 
 
 def _skew_collisions_dense(rows: _Rows) -> int:
+    # a+2b repeats within a row mod an even m, so a field counts up to #G pairs
+    width = _field_width(sum(len(ys) for ys, _ in rows))
+    if width is None:
+        return _skew_collisions_sparse(rows)
     rows, n_d, n_b = _numbered(rows)
-    fibers = [[0] * n_b for _ in range(n_d)]
+    fibers = [0] * n_d
     for ys, labels in rows:
+        row_partners = _packed(ys, width)
         for d in labels:
-            fiber = fibers[d]
-            for b2 in ys:
-                fiber[b2] += 1
-    return sum(sum(map(operator.mul, fiber, fiber)) for fiber in fibers)
+            fibers[d] += row_partners
+    size, code = n_b * width // 8, _CAST_CODES[width]
+    collisions = 0
+    for fiber in fibers:  # one fiber's bytes at a time; the order of fields is moot
+        sizes = memoryview(fiber.to_bytes(size, sys.byteorder)).cast(code)
+        collisions += sum(map(operator.mul, sizes, sizes))
+    return collisions
 
 
 def _skew_collisions_sparse(rows: _Rows) -> int:

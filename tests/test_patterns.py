@@ -7,9 +7,10 @@ import random
 
 import pytest
 
+import frozen
 from arithproj.errors import InstanceTooLarge, InvalidBase
 from arithproj.groups import ELEMENT_MAGNITUDE_CAP
-from arithproj.instances import DIFFERENCE, SKEW_SUM, SUM, project
+from arithproj.instances import DIFFERENCE, SKEW_SUM, SUM, Instance, project
 from arithproj.patterns import (
     EXAMPLE_ONE_PATTERN,
     EXAMPLE_TWO_PATTERN,
@@ -244,3 +245,31 @@ def test_all_pairs_distinct_in_tensor():
     inst = tensor_pattern(EXAMPLE_ONE_PATTERN, 3)
     assert len(inst.pairs) == 6**3
     assert len(set(inst.pairs)) == 6**3
+
+
+def test_tensor_pattern_equals_the_validated_instance():
+    """tensor_pattern skips Instance validation; Instance(...) over the same
+    pairs, handed over in reverse with A and B unsorted, stores the same
+    sorted, distinct, integral parts."""
+    cases = [(EXAMPLE_ONE_PATTERN, n) for n in (1, 2, 3, 4)]
+    cases += [(EXAMPLE_TWO_PATTERN, n) for n in (1, 2, 3, 4)]
+    for witnesses, constrain_d in (
+        (frozen.K5_WITNESSES, False),
+        (frozen.K5_CONSTRAINED_WITNESSES, True),
+    ):
+        cases += [
+            (DigitPattern(pairs, constrain_d=constrain_d), n)
+            for pairs in sorted(witnesses)
+            for n in (1, 2, 3)
+        ]
+    for pattern, n in cases:
+        inst = tensor_pattern(pattern, n)
+        pairs = inst.pairs[::-1]
+        validated = Instance(
+            group=inst.group,
+            a_set=tuple({a for a, _ in pairs}),
+            b_set=tuple({b for _, b in pairs}),
+            pairs=pairs,
+        )
+        assert inst == validated
+        assert len(inst.pairs) == len(pattern.pairs) ** n

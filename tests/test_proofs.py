@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import frozen
 from arithproj.chains import chain_count_dp
 from arithproj.errors import (
     EnumerationCapExceeded,
@@ -25,7 +26,12 @@ from arithproj.instances import (
     project,
     reduce_to_difference_injective,
 )
-from arithproj.patterns import build_example_one, build_example_two
+from arithproj.patterns import (
+    DigitPattern,
+    build_example_one,
+    build_example_two,
+    tensor_pattern,
+)
 from arithproj.proofs import (
     Inequality,
     Wedge,
@@ -327,6 +333,83 @@ def test_dense_and_sparse_paths_edge_shapes():
             ),
         )
         checked_both_paths(path)
+
+
+def test_packed_fields_at_their_width_edges():
+    # Z/256, A the 128 even residues, N(a) = {0, beta, beta + 128} with
+    # a + 2*beta = 0: both of a's other partners take the skew label 0, so
+    # the collision fiber (0, 0) counts 2 * 128 = 256 pairs, one past the
+    # 8-bit field that 128 rows would fit
+    m = 256
+    pairs = []
+    for a in range(0, m, 2):
+        beta = (-a // 2) % 128
+        pairs += [(a, b) for b in {0, beta, beta + 128}]
+    skew = Instance(
+        group=AmbientGroup.integers_mod(m),
+        a_set=range(0, m, 2),
+        b_set=range(m),
+        pairs=tuple(pairs),
+    )
+    partners = skew.partners()
+    assert len(partners) == 128
+    assert sum(1 for a, ys in partners.items() for b in ys if (a + 2 * b) % m == 0) == 256
+    assert checked_both_paths(skew)[1] == 66937
+    # 256 rows a with N(a) = {-a, 1-a}: every row's sums are 0 and 1, so
+    # c1 at (0, 0) counts all 256 rows, one past an 8-bit field
+    pairs = tuple((a, b) for a in range(256) for b in (-a, 1 - a))
+    sums = Instance(group=Z, a_set=range(256), b_set=range(-255, 2), pairs=pairs)
+    assert all({a + b for b in ys} == {0, 1} for a, ys in sums.partners().items())
+    assert proofs._field_width(len(sums.partners())) == 16
+    assert checked_both_paths(sums)[0] == 784384
+
+
+def test_unpacked_round_trips_the_largest_field_at_every_width():
+    for width, code in proofs._CAST_CODES.items():
+        assert memoryview(bytes(8)).cast(code).itemsize * 8 == width
+        largest = (1 << width) - 1
+        assert proofs._field_width(largest) == width
+        assert proofs._field_width(largest + 1) == (2 * width if width < 64 else None)
+        table = [largest | largest << (2 * width), 0, largest << (2 * width)]
+        assert proofs._unpacked(table, 3, width) == [
+            [largest, 0, largest],
+            [0, 0, 0],
+            [0, 0, largest],
+        ]
+
+
+def test_frozen_k5_witnesses_are_multiplicative_on_both_kernels():
+    """Relation, wedges and quads of every K=5 witness's n-digit tensor are
+    its one-digit values to the n-th power, on both kernels.  Collisions
+    are, too, only for the constrained witnesses: min_base keeps the skew
+    digits a+2b carry-free only when the pattern tracks D, and two of the
+    unconstrained witnesses carry at their min_base (700 and 740
+    collisions at n=2, not 26**2 = 676)."""
+    carried = {}
+    for witnesses, constrain_d in (
+        (frozen.K5_WITNESSES, False),
+        (frozen.K5_CONSTRAINED_WITNESSES, True),
+    ):
+        for pairs in sorted(witnesses):
+            pattern = DigitPattern(pairs, constrain_d=constrain_d)
+            digit = tensor_pattern(pattern, 1)
+            (quads,), (collisions,) = both_paths(digit)
+            for n in (2, 3):
+                inst = tensor_pattern(pattern, n)
+                assert len(reduce_to_difference_injective(inst).pairs) == len(digit.pairs) ** n
+                assert wedge_count(inst) == wedge_count(digit) ** n
+                tensor_quads, tensor_collisions = both_paths(inst)
+                assert tensor_quads == {quads**n}
+                assert len(tensor_collisions) == 1
+                if tensor_collisions != {collisions**n}:
+                    carried[pairs, n] = (collisions**n, *tensor_collisions)
+    assert {key for key, _ in carried} <= frozen.K5_WITNESSES
+    carry_700 = ((0, 1), (0, 4), (0, 5), (1, 0), (1, 4), (3, 1), (3, 5), (4, 0), (4, 1), (4, 4))
+    carry_740 = ((0, 1), (0, 4), (1, 0), (1, 3), (1, 4), (4, 0), (4, 1), (4, 4), (5, 0), (5, 3))
+    assert {pairs: values for (pairs, n), values in carried.items() if n == 2} == {
+        carry_700: (676, 700),
+        carry_740: (676, 740),
+    }
 
 
 def test_dense_rule_reads_the_slice_sizes(monkeypatch):
