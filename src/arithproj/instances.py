@@ -219,9 +219,14 @@ def slice_sizes(inst: Instance, with_d: bool = False) -> dict[str, int]:
 
 def require_hypotheses(inst: Instance, budget: int, with_d: bool = False) -> dict[str, int]:
     """slice_sizes, but raise HypothesisViolated when any slice exceeds budget."""
+    return _within_budget(slice_sizes(inst, with_d=with_d), budget)
+
+
+def _within_budget(sizes: dict[str, int], budget: int) -> dict[str, int]:
+    """sizes, in slice order, once budget >= 1 (else ValueError) and no size
+    exceeds it (else HypothesisViolated naming the slices above it)."""
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    sizes = slice_sizes(inst, with_d=with_d)
     failed = sorted(name for name, size in sizes.items() if size > budget)
     if failed:
         raise HypothesisViolated(

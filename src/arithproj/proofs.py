@@ -23,29 +23,35 @@ as a numerator over a positive denominator and its right side as an
 integer, and cross-multiplies, so x <= N^(p/q) is x**q <= N**p; its
 Fraction sides are built only when read.
 
-The ladder counts stream: count_linked_quads and count_skew_collisions run
-the fiber-sum recursion of chain_count_dp directly over the rows of one
-inst.partners() build, so no wedge or label tuple is built.  Each fiber
-table is indexed by the first coordinate of a label and counts the second.
-A rule on the slice sizes picks its form: packed dense rows over the labels
-and partners that occur, numbered in one pass over the pairs, or int-keyed
-dicts holding at most one entry per wedge.  A packed row is one int with a
-fixed-width field per numbered label or partner, so a pair (a, b) adds a
-row's whole indicator with one big-int add, and each table is unpacked
-once, through int.to_bytes and memoryview.cast.  The dense quads are the
-sum over first wedges (a, b, b2) of c1[a+b][a+b2] * F3[b][b2], where F3[b]
-sums n3[a+b] & mask(partners of a) over the a with (a, b) in G.  A field is
-the narrowest of 8, 16, 32 or 64 bits that holds its proven maximum: c1 and
-n3 fields count at most #rows (a row meets a sum at one partner at most),
-F3 fields at most #rows^2, and collision fields at most #G, because a+2b
+The ladder counts stream: one forward walk over the sorted pairs of G
+numbers its rows, and count_linked_quads and count_skew_collisions run the
+fiber-sum recursion of chain_count_dp directly over them, so no wedge or
+label tuple is built.  Each pair (a, b) appends to a's row the index of b
+in the sorted B, so partner ids keep value order, and the id of its label
+a + k*b (k = 1 for the quads, 2 for the collisions), reduced once and
+numbered on first sight.  For a verify_* ladder the walk also keeps only
+the first pair of each difference a - b, the lex-smallest one, which is
+the pair reduce_to_difference_injective keeps, and the 7/4 ladder collects
+the sums a + b as well.  #C or #D is the number of label ids and #A and #B
+are the instance's own sets, so the hypotheses, the wedge cap and the
+kernel rule read their sizes off the walk, in that order, before any
+table is allocated.  Each fiber table is indexed by a label id and counts
+the second coordinate of the label.  The rule picks the table's form:
+packed dense rows over the label and partner ids, or int-keyed dicts
+holding at most one entry per wedge.  A packed row is one int with a
+fixed-width field per label or partner id, so a pair (a, b) adds a row's
+whole indicator with one big-int add, and each table is unpacked once,
+through int.to_bytes and memoryview.cast.  The dense quads are the sum over
+first wedges (a, b, b2) of c1[a+b][a+b2] * F3[b][b2], where F3[b] sums
+n3[a+b] & mask(partners of a) over the a with (a, b) in G.  A field is the
+narrowest of 8, 16, 32 or 64 bits that holds its proven maximum: c1 and n3
+fields count at most #rows (a row meets a sum at one partner at most), F3
+fields at most #rows^2, and collision fields at most #G, because a+2b
 repeats within a row mod an even m; a relation that fits no width takes
 the sparse path.  The quads go dense while #C^2 + #C*#B + #B^2 <=
 12 * wedges; up to that ratio the dense tracemalloc peak stays at or below
-the sparse one.  The collisions go dense while #D*#B + 8 * #G < 2 * wedges,
-which also charges the numbering pass.  Both check the wedge cap on their
-partner rows and raise EnumerationCapExceeded before any table is
-allocated, and each verify_* ladder takes its wedge count from those rows
-and its sizes from require_hypotheses, so the rule costs no extra pass.
+the sparse one.  The collisions go dense while #D*#B + 8 * #G <
+2 * wedges, which also charges the dense kernel's work per pair.
 linked_quad_problem and skew_collision_problem build the same counts as
 explicit ChainProblems for cross-checking.
 """
@@ -64,14 +70,11 @@ from typing import NamedTuple
 from .chains import ChainProblem, Labeling, chain_count_dp  # noqa: F401
 from .errors import EnumerationCapExceeded, NoPreimage, NotDifferenceInjective
 from .groups import AmbientGroup
-from .instances import (
-    SKEW_SUM,
-    SUM,
-    Instance,
-    project,
-    reduce_to_difference_injective,
-    require_hypotheses,
-)
+from .instances import SKEW_SUM, SUM, Instance, _within_budget, project
+
+# the ladders reduce and check their hypotheses in their own walk over G;
+# perfbench's trace sites still wrap these two as attributes of this module
+from .instances import reduce_to_difference_injective, require_hypotheses  # noqa: F401
 
 __all__ = [
     "DEFAULT_WEDGE_CAP",
@@ -123,42 +126,68 @@ def wedge_count(inst: Instance) -> int:
     return _square_degrees(inst.partners())
 
 
-def _capped_partners(inst: Instance, cap: int) -> tuple[_Partners, int]:
-    """inst.partners() and its wedge count, once that is known to be at most cap."""
-    rows = inst.partners()
-    total = _square_degrees(rows)
-    if total > cap:
-        raise EnumerationCapExceeded(f"{total} wedges exceed cap {cap}")
-    return rows, total
+def _check_cap(wedges: int, cap: int) -> None:
+    if wedges > cap:
+        raise EnumerationCapExceeded(f"{wedges} wedges exceed cap {cap}")
 
 
-# one (partners b of a, labels a + k*b) per row, the partners sorted
-_Rows = list[tuple[Sequence[int], list[int]]]
+# one (partner ids, label ids) per left element, in the order of its pairs
+_Rows = list[tuple[list[int], list[int]]]
 
 
-def _labelled_rows(modulus: int | None, k: int, partners: _Partners) -> _Rows:
-    """Each row's sorted partners with their labels a + k*b, reduced once per
-    value in a modular group."""
-    if modulus is None:
-        return [(ys, [a + k * b for b in ys]) for a, ys in partners.items()]
-    return [(ys, [(a + k * b) % modulus for b in ys]) for a, ys in partners.items()]
+class _IdRows(NamedTuple):
+    """Numbered rows of G and the sizes the ladders read off them."""
+
+    rows: _Rows
+    pairs: int  # the pairs kept
+    wedges: int  # the sum of squared row lengths
+    labels: int  # distinct labels a + k*b: #C for k = 1, #D for k = 2
+    sums: int  # distinct sums a + b: #C
+    partners: int  # #B, since a partner id indexes the whole sorted B
 
 
-def _numbered(rows: _Rows) -> tuple[_Rows, int, int]:
-    """rows with labels numbered 0..#labels-1 and partners 0..#partners-1,
-    and both counts."""
-    labels: set[int] = set()
-    partners: set[int] = set()
-    for ys, row_labels in rows:
-        labels.update(row_labels)
-        partners.update(ys)
-    label_id = {s: i for i, s in enumerate(labels)}
-    partner_id = {b: i for i, b in enumerate(partners)}
-    numbered = [
-        (list(map(partner_id.__getitem__, ys)), list(map(label_id.__getitem__, row_labels)))
-        for ys, row_labels in rows
-    ]
-    return numbered, len(labels), len(partners)
+def _id_rows(inst: Instance, k: int, one_per_difference: bool) -> _IdRows:
+    """One forward walk over the sorted pairs of G.
+
+    With one_per_difference a pair is skipped when an earlier pair has its
+    difference a - b, so each difference keeps its lex-smallest pair, the
+    one reduce_to_difference_injective keeps.  A kept pair (a, b) appends
+    to a's row the index of b in the sorted B, so partner ids keep value
+    order, and the id of its label a + k*b, reduced once and numbered on
+    first sight.  For k != 1 the walk also counts the distinct sums a + b.
+    """
+    m = inst.group.modulus
+    partner_id = {b: i for i, b in enumerate(inst.b_set)}
+    label_id: dict[int, int] = {}
+    differences: set[int] = set()
+    sums: set[int] = set()  # empty for k = 1, whose labels are the sums
+    rows: _Rows = []
+    last = None
+    for a, b in inst.pairs:
+        if m is None:
+            d, s = a - b, a + k * b
+        else:
+            d, s = (a - b) % m, (a + k * b) % m
+        if one_per_difference:
+            if d in differences:
+                continue
+            differences.add(d)
+        if k != 1:
+            sums.add(a + b if m is None else (a + b) % m)
+        if a != last:
+            last = a
+            ys, ids = [], []
+            rows.append((ys, ids))
+        ys.append(partner_id[b])
+        ids.append(label_id.setdefault(s, len(label_id)))
+    return _IdRows(
+        rows=rows,
+        pairs=len(differences) if one_per_difference else len(inst.pairs),
+        wedges=sum(len(ys) ** 2 for ys, _ in rows),
+        labels=len(label_id),
+        sums=len(sums) if k != 1 else len(label_id),
+        partners=len(partner_id),
+    )
 
 
 # memoryview cast codes of the packed field widths, in bits
@@ -195,8 +224,10 @@ def _unpacked(table: list[int], fields: int, width: int) -> list[list[int]]:
 
 
 def enumerate_wedges(inst: Instance) -> tuple[Wedge, ...]:
+    partners = inst.partners()
+    _check_cap(_square_degrees(partners), DEFAULT_WEDGE_CAP)
     out = []
-    for a, ys in sorted(_capped_partners(inst, DEFAULT_WEDGE_CAP)[0].items()):
+    for a, ys in sorted(partners.items()):
         for b in ys:
             for b2 in ys:
                 out.append(Wedge(a, b, b2))
@@ -220,44 +251,44 @@ def linked_quad_problem(inst: Instance) -> ChainProblem:
 def count_linked_quads(inst: Instance) -> int:
     """Chains of the three linked_quad_problem labelings, by fiber sums.
 
-    c1[a+b] counts the row's sums a+b2 and n3[a+b] its partners b2, so they
-    hold the fiber sizes of (a+b, a+b2) and (a+b, b2).  A first wedge
-    (a, b, b2) heads c1[a+b][a+b2] chains into the label (b, b2), and a
-    third wedge (a, b, b2) starts n3[a+b][b2] last wedges.  The sparse
-    tables sum c1 into c2[b][b2] over the unordered partner pairs of each
-    row, mirror it (c1 is symmetric under swapping b and b2, so c2 is too)
-    and end with one dot product of c2[b] and n3[a+b] per pair (a, b).  The
-    dense tables are packed rows: F3[b][b2] sums n3[a+b][b2] over the a
-    with (a, b) and (a, b2) in G, at one AND with a's row mask and one add
-    per pair, and the count is one dot product of c1[a+b] and F3[b] per pair
-    (a, b).  Fields are 8 to 64 bits wide: at most #rows for c1 and n3, at
-    most #rows^2 for F3.  The form is picked by the rule in the module
-    docstring.
+    The tables run over the numbered rows of one walk over G, in which the
+    sums a+b are the labels, #C is the number of label ids and #B that of
+    partner ids.  c1[a+b] counts the row's sums a+b2 and n3[a+b] its
+    partners b2, so they hold the fiber sizes of (a+b, a+b2) and (a+b, b2).
+    A first wedge (a, b, b2) heads c1[a+b][a+b2] chains into the label
+    (b, b2), and a third wedge (a, b, b2) starts n3[a+b][b2] last wedges.
+    The sparse tables sum c1 into c2[b][b2] over the unordered partner pairs
+    of each row, mirror it (c1 is symmetric under swapping b and b2, so c2
+    is too) and end with one dot product of c2[b] and n3[a+b] per pair
+    (a, b).  The dense tables are packed rows: F3[b][b2] sums n3[a+b][b2]
+    over the a with (a, b) and (a, b2) in G, at one AND with a's row mask
+    and one add per pair, and the count is one dot product of c1[a+b] and
+    F3[b] per pair (a, b).  Fields are 8 to 64 bits wide: at most #rows for
+    c1 and n3, at most #rows^2 for F3.  The form is picked by the rule in
+    the module docstring.
     """
-    rows, wedges = _capped_partners(inst, DEFAULT_WEDGE_CAP)
-    sizes = (len(project(inst, SUM)), len(inst.b_set))
-    return _linked_quads(inst.group.modulus, rows, wedges, *sizes)
+    walk = _id_rows(inst, 1, one_per_difference=False)
+    _check_cap(walk.wedges, DEFAULT_WEDGE_CAP)
+    return _linked_quads(walk)
 
 
-def _linked_quads(
-    modulus: int | None, partners: _Partners, wedges: int, c_size: int, b_size: int
-) -> int:
-    rows = _labelled_rows(modulus, 1, partners)
+def _linked_quads(walk: _IdRows) -> int:
+    c_size, b_size = walk.labels, walk.partners
     # at 12 slots per wedge the dense and sparse tracemalloc peaks meet
-    if c_size * c_size + c_size * b_size + b_size * b_size <= 12 * wedges:
-        return _linked_quads_dense(rows)
-    return _linked_quads_sparse(rows)
+    if c_size * c_size + c_size * b_size + b_size * b_size <= 12 * walk.wedges:
+        return _linked_quads_dense(walk)
+    return _linked_quads_sparse(walk)
 
 
-def _linked_quads_dense(rows: _Rows) -> int:
+def _linked_quads_dense(walk: _IdRows) -> int:
     """Sum over first wedges (a, b, b2) of c1[a+b][a+b2] * F3[b][b2], on
     packed rows: F3[b][b2] counts the last wedges of the third wedges
     (a', b, b2) that the first wedge's chains reach."""
+    rows, n_c, n_b = walk.rows, walk.labels, walk.partners
     first = _field_width(len(rows))  # a c1 or n3 field counts rows
     wide = _field_width(len(rows) ** 2)  # an F3 field sums n3 fields over rows
     if wide is None:
-        return _linked_quads_sparse(rows)
-    rows, n_c, n_b = _numbered(rows)
+        return _linked_quads_sparse(walk)
     c1, n3 = [0] * n_c, [0] * n_c  # n3 has F3's width, so its fields add into F3
     masks = []
     full = (1 << wide) - 1
@@ -285,7 +316,8 @@ def _linked_quads_dense(rows: _Rows) -> int:
     return quads
 
 
-def _linked_quads_sparse(rows: _Rows) -> int:
+def _linked_quads_sparse(walk: _IdRows) -> int:
+    rows = walk.rows
     c1, n3, c2 = defaultdict(dict), defaultdict(dict), defaultdict(dict)
     for ys, sums in rows:
         for s in sums:
@@ -293,7 +325,7 @@ def _linked_quads_sparse(rows: _Rows) -> int:
             for b2, t in zip(ys, sums):
                 sum_fiber[t] = sum_fiber.get(t, 0) + 1
                 partner_fiber[b2] = partner_fiber.get(b2, 0) + 1
-    for ys, sums in rows:  # ys is sorted, so b <= b2 below, even where sums wrap
+    for ys, sums in rows:  # partner ids rise along a row, so b <= b2 below
         for i, (b, s) in enumerate(zip(ys, sums)):
             fiber, head = c1[s], c2[b]
             for b2, t in zip(ys[i:], sums[i:]):
@@ -330,39 +362,36 @@ def skew_collision_problem(inst: Instance) -> ChainProblem:
 def count_skew_collisions(inst: Instance) -> int:
     """Ordered wedge pairs sharing (a+2b, b2): the sum of squared fiber sizes.
 
-    fibers[a+2b] counts the row's partners b2, dense or sparse by the rule
-    in the module docstring.  A dense fiber is one packed int with a field
-    per partner of up to #G, not #rows, since a+2b repeats within a row
-    mod an even m.
+    fibers[a+2b] counts the row's partners b2 over the numbered rows of one
+    walk over G, whose labels are the skew sums a+2b, dense or sparse by
+    the rule in the module docstring.  A dense fiber is one packed int with
+    a field per partner of up to #G, not #rows, since a+2b repeats within a
+    row mod an even m.
     """
-    rows, wedges = _capped_partners(inst, DEFAULT_WEDGE_CAP)
-    sizes = (len(project(inst, SKEW_SUM)), len(inst.b_set))
-    return _skew_collisions(inst.group.modulus, rows, len(inst.pairs), wedges, *sizes)
+    walk = _id_rows(inst, 2, one_per_difference=False)
+    _check_cap(walk.wedges, DEFAULT_WEDGE_CAP)
+    return _skew_collisions(walk)
 
 
-def _skew_collisions(
-    modulus: int | None, partners: _Partners, pairs: int, wedges: int, d_size: int, b_size: int
-) -> int:
-    rows = _labelled_rows(modulus, 2, partners)
-    # numbering a pair costs what the dense table saves on about four
-    # wedges, and a slot what it saves on half of one
-    if d_size * b_size + 8 * pairs < 2 * wedges:
-        return _skew_collisions_dense(rows)
-    return _skew_collisions_sparse(rows)
+def _skew_collisions(walk: _IdRows) -> int:
+    # a dense pair costs what the dense table saves on about four wedges,
+    # and a slot what it saves on half of one
+    if walk.labels * walk.partners + 8 * walk.pairs < 2 * walk.wedges:
+        return _skew_collisions_dense(walk)
+    return _skew_collisions_sparse(walk)
 
 
-def _skew_collisions_dense(rows: _Rows) -> int:
+def _skew_collisions_dense(walk: _IdRows) -> int:
     # a+2b repeats within a row mod an even m, so a field counts up to #G pairs
-    width = _field_width(sum(len(ys) for ys, _ in rows))
+    width = _field_width(walk.pairs)
     if width is None:
-        return _skew_collisions_sparse(rows)
-    rows, n_d, n_b = _numbered(rows)
-    fibers = [0] * n_d
-    for ys, labels in rows:
+        return _skew_collisions_sparse(walk)
+    fibers = [0] * walk.labels
+    for ys, labels in walk.rows:
         row_partners = _packed(ys, width)
         for d in labels:
             fibers[d] += row_partners
-    size, code = n_b * width // 8, _CAST_CODES[width]
+    size, code = walk.partners * width // 8, _CAST_CODES[width]
     collisions = 0
     for fiber in fibers:  # one fiber's bytes at a time; the order of fields is moot
         sizes = memoryview(fiber.to_bytes(size, sys.byteorder)).cast(code)
@@ -370,9 +399,9 @@ def _skew_collisions_dense(rows: _Rows) -> int:
     return collisions
 
 
-def _skew_collisions_sparse(rows: _Rows) -> int:
+def _skew_collisions_sparse(walk: _IdRows) -> int:
     fibers = defaultdict(dict)
-    for ys, labels in rows:
+    for ys, labels in walk.rows:
         for d in labels:
             fiber = fibers[d]
             for b2 in ys:
@@ -537,6 +566,20 @@ class ChainReport:
         }
 
 
+def _ladder_walk(inst: Instance, k: int, budget: int, cap: int) -> _IdRows:
+    """The numbered rows of the difference-injective reduction of inst, with
+    labels a + k*b, once budget bounds #A, #B, #C and, for k = 2, #D (else
+    ValueError or HypothesisViolated) and cap bounds the wedges (else
+    EnumerationCapExceeded)."""
+    walk = _id_rows(inst, k, one_per_difference=True)
+    sizes = {"A": len(inst.a_set), "B": walk.partners, "C": walk.sums}
+    if k == 2:
+        sizes["D"] = walk.labels
+    _within_budget(sizes, budget)
+    _check_cap(walk.wedges, cap)
+    return walk
+
+
 def verify_three_slice_chain(
     inst: Instance, budget: int, cap: int = DEFAULT_WEDGE_CAP
 ) -> ChainReport:
@@ -546,12 +589,9 @@ def verify_three_slice_chain(
     The quad lower bound appears twice: once against budget powers and once
     against the actual ambient label sizes, which is sharper.
     """
-    reduced = reduce_to_difference_injective(inst)
-    sizes = require_hypotheses(reduced, budget, with_d=False)
-    relation = len(reduced.pairs)
-    rows, wedges = _capped_partners(reduced, cap)
-    c_size, b_size = sizes["C"], sizes["B"]
-    quads = _linked_quads(reduced.group.modulus, rows, wedges, c_size, b_size)
+    walk = _ladder_walk(inst, 1, budget, cap)
+    relation, wedges, c_size, b_size = walk.pairs, walk.wedges, walk.sums, walk.partners
+    quads = _linked_quads(walk)
     n = budget
     inequalities = (
         Inequality("wedge-count-lower", relation**2, wedges, lhs_den=n),
@@ -581,12 +621,9 @@ def verify_four_slice_chain(
 
     Requires #A, #B, #C, #D <= budget on the reduced instance.
     """
-    reduced = reduce_to_difference_injective(inst)
-    sizes = require_hypotheses(reduced, budget, with_d=True)
-    relation = len(reduced.pairs)
-    rows, wedges = _capped_partners(reduced, cap)
-    d_size, b_size = sizes["D"], sizes["B"]
-    collisions = _skew_collisions(reduced.group.modulus, rows, relation, wedges, d_size, b_size)
+    walk = _ladder_walk(inst, 2, budget, cap)
+    relation, wedges, d_size, b_size = walk.pairs, walk.wedges, walk.labels, walk.partners
+    collisions = _skew_collisions(walk)
     n = budget
     inequalities = (
         Inequality("pair-count-lower-budget", wedges**2, collisions, lhs_den=n**2),

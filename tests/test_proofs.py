@@ -25,6 +25,8 @@ from arithproj.instances import (
     is_difference_injective,
     project,
     reduce_to_difference_injective,
+    require_hypotheses,
+    slice_sizes,
 )
 from arithproj.patterns import (
     DigitPattern,
@@ -33,6 +35,7 @@ from arithproj.patterns import (
     tensor_pattern,
 )
 from arithproj.proofs import (
+    ChainReport,
     Inequality,
     Wedge,
     collision_fingerprint,
@@ -244,23 +247,24 @@ def test_streaming_counts_edge_cases():
         assert count_skew_collisions(inst) == chain_count_dp(skew_collision_problem(inst))
 
 
-def test_each_ladder_builds_partners_once(monkeypatch):
-    calls = []
-    partners = Instance.partners
+def test_ladders_make_their_own_walk_over_g(monkeypatch):
+    """Both ladders reduce, size and number G in one walk of their own, so
+    they verify with every public preparation step made to raise."""
+    examples = [build_example_one(2), build_example_two(2)]
+    budgets = [
+        max(len(inst.a_set), len(project(inst, SUM)), len(project(inst, SKEW_SUM)))
+        for inst in examples
+    ]
 
-    def counted(self):
-        calls.append(self)
-        return partners(self)
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the ladders make their own walk over G")
 
-    monkeypatch.setattr(Instance, "partners", counted)
-    for inst in (build_example_one(2), build_example_two(2)):
-        budget = max(len(inst.a_set), len(project(inst, SUM)), len(project(inst, SKEW_SUM)))
-        calls.clear()
-        verify_three_slice_chain(inst, budget)
-        assert len(calls) == 1
-        calls.clear()
-        verify_four_slice_chain(inst, budget)
-        assert len(calls) == 1
+    monkeypatch.setattr(Instance, "partners", refuse)
+    for name in ("project", "reduce_to_difference_injective", "require_hypotheses"):
+        monkeypatch.setattr(proofs, name, refuse)
+    for inst, budget in zip(examples, budgets):
+        assert verify_three_slice_chain(inst, budget).all_hold
+        assert verify_four_slice_chain(inst, budget).all_hold
 
 
 def test_streaming_counts_respect_wedge_cap():
@@ -272,14 +276,102 @@ def test_streaming_counts_respect_wedge_cap():
         assert verify(inst, 81, cap=144).cardinalities["wedges"] == 144
 
 
+def reference_report(inst: Instance, budget: int, cap: int, with_d: bool) -> ChainReport:
+    """A ladder's report from public pieces only: reduce, check the
+    hypotheses, check the wedge cap, then count on the reduced instance."""
+    reduced = reduce_to_difference_injective(inst)
+    sizes = require_hypotheses(reduced, budget, with_d=with_d)
+    wedges = wedge_count(reduced)
+    if wedges > cap:
+        raise EnumerationCapExceeded(f"{wedges} wedges exceed cap {cap}")
+    relation, n, b = len(reduced.pairs), budget, sizes["B"]
+    if not with_d:
+        quads, c = count_linked_quads(reduced), sizes["C"]
+        inequalities = (
+            Inequality("wedge-count-lower", relation**2, wedges, lhs_den=n),
+            Inequality("quad-count-lower-budget", wedges**4, quads, lhs_den=n**6),
+            Inequality("quad-count-lower-exact", wedges**4, quads, lhs_den=max(1, c**3 * b**3)),
+            Inequality("quad-count-upper", quads, n**2 * wedges),
+            Inequality("wedge-count-upper", wedges**3, n**8),
+            Inequality("difference-count-upper", relation**6, n**11),
+        )
+        cards = {"relation": relation, "wedges": wedges, "quads": quads}
+        return ChainReport(budget, cards, inequalities)
+    collisions, d = count_skew_collisions(reduced), sizes["D"]
+    inequalities = (
+        Inequality("pair-count-lower-budget", wedges**2, collisions, lhs_den=n**2),
+        Inequality("pair-count-lower-exact", wedges**2, collisions, lhs_den=max(1, d * b)),
+        Inequality("pair-count-upper", collisions, n**3),
+        Inequality("wedge-count-upper", wedges**2, n**5),
+        Inequality("difference-count-upper", relation**4, n**7),
+    )
+    cards = {"relation": relation, "wedges": wedges, "collisions": collisions}
+    return ChainReport(budget, cards, inequalities)
+
+
+def outcome(call) -> object:
+    """The report's JSON, or the type and message of what call raised."""
+    try:
+        return call().to_json_dict()
+    except (ValueError, HypothesisViolated, EnumerationCapExceeded) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_ladders_match_the_public_preparation():
+    """Each verify_* ladder, with its reduction, hypotheses, cap and counts
+    in one walk over G, gives the report or the error of the public steps
+    run one after another, at budgets and caps on both sides of each
+    check."""
+    wrap = Instance(  # 3 - 6 = 5 - 1 mod 7: one pair is dropped
+        group=AmbientGroup.integers_mod(7),
+        a_set=(3, 5),
+        b_set=(1, 2, 5, 6),
+        pairs=((3, 1), (3, 2), (3, 5), (3, 6), (5, 1), (5, 6)),
+    )
+    draws = [
+        Instance(group=Z, a_set=(0, 1), b_set=(0, 1), pairs=()),
+        Instance(group=AmbientGroup.integers_mod(5), a_set=(1,), b_set=(2,), pairs=()),
+        wrap,
+        build_example_one(1),
+        build_example_two(1),
+    ]
+    rng = random.Random(67)
+    draws += [random_instance(rng, max_side=8) for _ in range(120)]
+    kinds, groups, dropped = set(), set(), 0
+    for inst in draws:
+        reduced = reduce_to_difference_injective(inst)
+        dropped += reduced is not inst
+        groups.add(inst.group.is_modular)
+        wedges = wedge_count(reduced)
+        for verify, with_d in ((verify_three_slice_chain, False), (verify_four_slice_chain, True)):
+            sizes = slice_sizes(reduced, with_d=with_d)
+            top = max(sizes.values())
+            for budget in {0, max(1, top - 1), top, top + 1, *sizes.values()}:
+                for cap in (wedges - 1, wedges):
+                    got = outcome(lambda: verify(inst, budget, cap=cap))
+                    want = outcome(lambda: reference_report(inst, budget, cap, with_d))
+                    assert got == want, (inst, budget, cap)
+                    kinds.add(got[0] if isinstance(got, tuple) else "report")
+    assert groups == {False, True} and dropped >= 20
+    assert kinds == {"report", "ValueError", "HypothesisViolated", "EnumerationCapExceeded"}
+    # precedence: budget 0 before the hypotheses, the hypotheses before the cap
+    ex1 = build_example_one(1)
+    for verify in (verify_three_slice_chain, verify_four_slice_chain):
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            verify(ex1, 0, cap=0)
+        with pytest.raises(HypothesisViolated):
+            verify(ex1, 2, cap=0)
+        with pytest.raises(EnumerationCapExceeded):
+            verify(ex1, 6, cap=wedge_count(ex1) - 1)
+
+
 def both_paths(inst: Instance) -> tuple[set[int], set[int]]:
     """Quads and collisions from the dense and the sparse kernels, whatever
     the rule would pick for inst: one value each when the paths agree."""
-    partners, m = inst.partners(), inst.group.modulus
-    rows = proofs._labelled_rows(m, 1, partners)
-    quads = {proofs._linked_quads_dense(rows), proofs._linked_quads_sparse(rows)}
-    rows = proofs._labelled_rows(m, 2, partners)
-    collisions = {proofs._skew_collisions_dense(rows), proofs._skew_collisions_sparse(rows)}
+    walk = proofs._id_rows(inst, 1, one_per_difference=False)
+    quads = {proofs._linked_quads_dense(walk), proofs._linked_quads_sparse(walk)}
+    walk = proofs._id_rows(inst, 2, one_per_difference=False)
+    collisions = {proofs._skew_collisions_dense(walk), proofs._skew_collisions_sparse(walk)}
     return quads, collisions
 
 
@@ -438,17 +530,19 @@ def test_dense_rule_reads_the_slice_sizes(monkeypatch):
         count_linked_quads(inst)
         count_skew_collisions(inst)
         assert picked == [quads, collisions]
-    # the ladders read the same sizes from require_hypotheses
+    # the ladders read the same sizes off their own walk over G
     picked.clear()
     verify_three_slice_chain(ex2, 4**4)
     verify_four_slice_chain(ex2, 4**4)
     assert picked == ["_linked_quads_dense", "_skew_collisions_dense"]
     # 18 pairs, 82 wedges: 399 quad slots, under 12 per wedge, go dense;
-    # 45 collision slots fit inside the wedges, but numbering the 18 pairs
-    # costs more than the dense table saves, so the collisions stay sparse
+    # 45 collision slots fit inside the wedges, but with the rule's charge
+    # per pair 45 + 8 * 18 >= 2 * 82, so the collisions stay sparse
     small = reduce_to_difference_injective(random_instance(random.Random(33)))
-    assert (len(small.pairs), wedge_count(small)) == (18, 82)
-    c, d, b = len(project(small, SUM)), len(project(small, SKEW_SUM)), len(small.b_set)
+    sums = proofs._id_rows(small, 1, one_per_difference=False)
+    skew = proofs._id_rows(small, 2, one_per_difference=False)
+    assert (skew.pairs, skew.wedges) == (18, 82)
+    c, d, b = sums.labels, skew.labels, skew.partners
     assert (c * c + c * b + b * b, d * b) == (399, 45)
     picked.clear()
     count_linked_quads(small)
