@@ -21,6 +21,7 @@ __all__ = [
     "DEFAULT_PAIR_CAP",
     "EXAMPLE_ONE_PATTERN",
     "EXAMPLE_TWO_PATTERN",
+    "K7_CONSTRAINED_OPTIMA",
     "DigitPattern",
     "build_example_one",
     "build_example_two",
@@ -101,6 +102,25 @@ EXAMPLE_ONE_PATTERN = DigitPattern(
 EXAMPLE_TWO_PATTERN = DigitPattern(
     pairs=((0, 2), (0, 3), (2, 1), (2, 2), (2, 3), (3, 1), (4, 0), (4, 1)),
     constrain_d=True,
+)
+
+# The two symmetry classes the K=7 branch-bound search finds in four slices:
+# 12 pairs, every slice 5, score ln 12 / ln 5.
+K7_CONSTRAINED_OPTIMA = (
+    DigitPattern(
+        pairs=(
+            (0, 3), (0, 4), (2, 1), (2, 2), (2, 3), (2, 4),
+            (4, 0), (4, 1), (4, 2), (6, 0), (6, 1), (7, 0),
+        ),
+        constrain_d=True,
+    ),
+    DigitPattern(
+        pairs=(
+            (0, 3), (0, 4), (2, 2), (2, 3), (2, 4), (4, 0),
+            (4, 1), (4, 2), (4, 3), (6, 0), (6, 1), (7, 0),
+        ),
+        constrain_d=True,
+    ),
 )
 
 

@@ -28,12 +28,15 @@ raises the max by one exactly when one AND with that mask is nonzero.  Each
 node is counted, checked against the budget and pruned in its parent, so a
 pruned child or a leaf costs no call.  The last group is a single cell in
 both spaces, (K, 0) or (K, K), so its two leaves are scored straight in
-their parent.  Branch-and-bound mode prunes a subtree only when even one
-more pair per remaining group could not reach the incumbent's score.  A
-node reads that verdict at most once, for its children that raise the max;
-those that keep it repeat the verdict that admitted the node.  Only
-a leaf that ties or beats the incumbent is built as a pattern and
-canonicalized.
+their parent.  Both modes prune a subtree only when even one more pair per
+remaining group could not reach the incumbent's score, so no leaf in it
+could tie.  Branch-and-bound mode counts a pruned child as one node;
+exhaustive mode counts its whole subtree, whose size follows from the group
+sizes, so it reports the full tree's node count (and, under a budget, the
+same cut) without visiting the subtrees it proves dominated.  A node reads
+that verdict at most once, for its children that raise the max; those that
+keep it repeat the verdict that admitted the node.  Only a leaf that ties
+or beats the incumbent is built as a pattern and canonicalized.
 
 Score comparisons are decided exactly by the root rule of compare_scores:
 log ratios whose numbers share primitive roots compare through one integer
@@ -218,7 +221,10 @@ class SearchResult:
 
     ``best_score`` is the exact (#differences, max slice) pair of the
     incumbent, or None when no pattern scored.  ``best_exponent`` is derived
-    from it for display.
+    from it for display.  ``nodes_explored`` counts the nodes of the walk,
+    at most node_budget + 1.  In exhaustive mode that is the size of the
+    full tree, each dominated subtree counted, not visited; in branch-bound
+    mode a pruned subtree counts as one node.
     """
 
     witnesses: tuple[DigitPattern, ...]
@@ -324,7 +330,11 @@ def search(spec: SearchSpec) -> SearchResult:
     # holds only (k, 0), and the x-major cells end at (k, k)
     ((last_cell, last_bits, last_dbit),) = groups[-1]
     limit = spec.node_budget or sys.maxsize  # the node count never gets there
-    prune = spec.mode == "branch-bound"
+    # what a pruned child at each group index adds to the node count
+    weight = [1] * (last + 1)
+    if spec.mode == "exhaustive":
+        for i in reversed(range(last)):
+            weight[i] = 1 + (1 + len(groups[i])) * weight[i + 1]
     nodes = 1  # the root, the one node no parent counts
     best: tuple[int, int] | None = None  # (#differences, max slice)
     # compare_scores(*score, *best) per score, asked once per incumbent;
@@ -358,7 +368,7 @@ def search(spec: SearchSpec) -> SearchResult:
         count their #differences and size their number.  chain links them
         as (cell, chain), () at the root.  rises, when given, is the mask
         of values that raise the max.  Each child is counted here, before
-        it is scored, pruned or expanded.
+        it is scored or expanded; a pruned one adds weight[child].
         """
         nonlocal nodes
         if rises is None:
@@ -390,10 +400,14 @@ def search(spec: SearchSpec) -> SearchResult:
         # adding cells, so a tie here may still hide a witness; the bound
         # gives each group after the child one more pair
         bound = size + last - child
-        nodes += 1
-        if nodes > limit:
-            return True
-        if not (prune and top >= 2 and verdicts[bound, top] < 0):
+        if top >= 2 and verdicts[bound, top] < 0:
+            nodes += weight[child]
+            if nodes > limit:
+                return True
+        else:
+            nodes += 1
+            if nodes > limit:
+                return True
             if expand(child, occ, sizes, top, count, size, chain, rises):
                 return True
         # a cell child that keeps the max needs no verdict: (bound, top)
@@ -401,20 +415,24 @@ def search(spec: SearchSpec) -> SearchResult:
         # child's cell bound is its parent's skip bound, a cell child's is
         # its parent's), and every leaf found since scores at most that.
         # The verdict for one that raises the max is read once, when first
-        # needed; a later incumbent could only prune more.
+        # needed, as what each such child adds when pruned (0: admitted); a
+        # later incumbent could only prune more.
         bound += 1
-        raises = None if prune else True
+        cut = None
         for cell, bits, dbit in groups[index]:
+            child_top = top
+            if bits & rises:
+                if cut is None:
+                    cut = 0 if top < 1 or verdicts[bound, top + 1] >= 0 else weight[child]
+                if cut:
+                    nodes += cut
+                    if nodes > limit:
+                        return True
+                    continue
+                child_top += 1
             nodes += 1
             if nodes > limit:
                 return True
-            child_top = top
-            if bits & rises:
-                if raises is None:
-                    raises = top < 1 or verdicts[bound, top + 1] >= 0
-                if not raises:
-                    continue
-                child_top += 1
             if expand(
                 child,
                 occ | bits | dbit,
@@ -429,6 +447,9 @@ def search(spec: SearchSpec) -> SearchResult:
 
     exhausted = expand(0, 0, 0, 0, 0, 0, ())
     witnesses = sorted(ties.values(), key=lambda p: (len(p.pairs), p.pairs))
+    # a budget crossed inside a counted subtree stops the full walk there
+    # too, at node limit + 1 and with the same incumbent
+    nodes = min(nodes, limit + 1)
     return SearchResult(tuple(witnesses[:_WITNESS_CAP]), not exhausted, nodes, best)
 
 

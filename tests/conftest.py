@@ -12,7 +12,7 @@ import pytest
 
 ACCEPTANCE_LINES: list[str] = []
 
-# seconds; the slowest test takes under 2
+# seconds; the slowest test takes under 4
 TEST_TIME_LIMIT_S = 60
 
 

@@ -29,6 +29,7 @@ from arithproj.instances import (
     slice_sizes,
 )
 from arithproj.patterns import (
+    K7_CONSTRAINED_OPTIMA,
     DigitPattern,
     build_example_one,
     build_example_two,
@@ -502,6 +503,27 @@ def test_frozen_k5_witnesses_are_multiplicative_on_both_kernels():
         carry_700: (676, 700),
         carry_740: (676, 740),
     }
+
+
+def test_k7_constrained_optima_hold_both_ladders():
+    """The two-digit tensors of the named K=7 four-slice optima: every slice
+    25 = 5**2, and both ladders hold at N = 25 on exact counts."""
+    for pattern, quads in zip(K7_CONSTRAINED_OPTIMA, (231**2, 250**2)):
+        inst = tensor_pattern(pattern, 2)
+        assert slice_sizes(inst, with_d=True) == {"A": 25, "B": 25, "C": 25, "D": 25}
+        three = proofs.verify_three_slice_chain(inst, 25)
+        four = proofs.verify_four_slice_chain(inst, 25)
+        assert three.all_hold and four.all_hold
+        assert three.cardinalities == {
+            "relation": 12**2,
+            "wedges": 34**2,
+            "quads": quads,
+        }
+        assert four.cardinalities == {
+            "relation": 12**2,
+            "wedges": 34**2,
+            "collisions": 66**2,
+        }
 
 
 def test_dense_rule_reads_the_slice_sizes(monkeypatch):

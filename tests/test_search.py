@@ -17,6 +17,7 @@ from arithproj.instances import DIFFERENCE, SLICES, LinearForm, budgeted_slices
 from arithproj.patterns import (
     EXAMPLE_ONE_PATTERN,
     EXAMPLE_TWO_PATTERN,
+    K7_CONSTRAINED_OPTIMA,
     DigitPattern,
     max_slice,
 )
@@ -229,17 +230,46 @@ def test_k4_constrained_frozen_optimum():
 
 
 def test_branch_bound_agrees_with_exhaustive():
+    """Both modes share one prune, so each meets the walk that never prunes."""
     for alphabet_max, constrain in ((2, False), (3, False), (3, True), (4, True)):
-        full = search(SearchSpec(alphabet_max=alphabet_max, constrain_d=constrain))
-        pruned = search(
-            SearchSpec(
-                alphabet_max=alphabet_max, constrain_d=constrain, mode="branch-bound"
+        spec = SearchSpec(alphabet_max=alphabet_max, constrain_d=constrain)
+        expected = reference_results(spec)[-1]
+        for mode in ("exhaustive", "branch-bound"):
+            got = search(dataclasses.replace(spec, mode=mode))
+            assert got.exhaustive
+            assert got.best_score == expected.best_score
+            assert {w.pairs for w in got.witnesses} == {
+                w.pairs for w in expected.witnesses
+            }
+            assert got.nodes_explored <= expected.nodes_explored
+
+
+def test_exhaustive_node_counts_follow_the_group_sizes():
+    """Exhaustive mode counts the full tree, whatever it prunes.
+
+    A node before a group of s cells has 1 + s children: the skip and one
+    per cell.  So the tree below the groups of sizes s_1..s_m has
+    1 + (1 + s_1) * (nodes below s_2..s_m) nodes, and a leaf is one node.
+    """
+    counts = []
+    for k in range(5):
+        expected = 1
+        for diagonal in range(k, -k - 1, -1):
+            cells = k + 1 - abs(diagonal)
+            expected = 1 + (1 + cells) * expected
+        counts.append(expected)
+        for constrain_d in (False, True):
+            result = search(SearchSpec(alphabet_max=k, constrain_d=constrain_d))
+            assert result.exhaustive
+            assert result.nodes_explored == expected
+    assert counts[3:] == [frozen.K3_EXHAUSTIVE_NODES, frozen.K4_EXHAUSTIVE_NODES]
+    # with one cell per group, every node has two children
+    for k in range(3):
+        for constrain_d in (False, True):
+            spec = SearchSpec(
+                alphabet_max=k, constrain_d=constrain_d, require_difference_injective=False
             )
-        )
-        assert pruned.exhaustive
-        assert pruned.best_exponent == full.best_exponent
-        assert {w.pairs for w in pruned.witnesses} == {w.pairs for w in full.witnesses}
-        assert pruned.nodes_explored <= full.nodes_explored
+            assert search(spec).nodes_explored == 2 ** ((k + 1) ** 2 + 1) - 1
 
 
 def test_branch_bound_frozen_node_counts():
@@ -557,6 +587,16 @@ def test_certify_empty_result_is_ok():
     assert report.ok
 
 
+def test_k7_constrained_optima_certify():
+    """The named K=7 four-slice optima certify at (12, 5), without the walk."""
+    spec = SearchSpec(alphabet_max=7, constrain_d=True, mode="branch-bound")
+    result = SearchResult(K7_CONSTRAINED_OPTIMA, True, 0, (12, 5))
+    report = certify(result, spec)
+    assert report.ok and report.diagnostics == ()
+    # an exponent the patterns do not reach is refused
+    assert not certify(dataclasses.replace(result, best_score=(12, 4)), spec).ok
+
+
 
 def reference_results(spec: SearchSpec) -> list[SearchResult]:
     """The result at every node budget, from one walk that calls itself per node.
@@ -667,6 +707,9 @@ def test_budget_cuts_match_the_one_call_per_node_walk():
             997,
         )
     )
+    # exhaustive mode prunes too, so only the reference walk checks it
+    # without a prune: the benchmark's K=4 walk in four slices
+    cases.append((SearchSpec(alphabet_max=4, constrain_d=True), 1009))
     for spec, stride in cases:
         expected = reference_results(spec)
         total = len(expected)
