@@ -218,13 +218,20 @@ def _json_list(doc, key: str) -> list:
     return value
 
 
+def _json_object(value, what: str) -> dict:
+    """value, which must be a JSON object: a list would fail on its first key."""
+    if not isinstance(value, dict):
+        raise MalformedInstance(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _load_chain_problem(path: str) -> ChainProblem:
-    doc = read_json(path)
+    doc = _json_object(read_json(path), "chain problem document")
     try:
         items = [tuple(x) if isinstance(x, list) else x for x in _json_list(doc, "items")]
         labelings = []
-        for entry in _json_list(doc, "labelings"):
-            labels = _json_list(entry, "labels")
+        for i, entry in enumerate(_json_list(doc, "labelings")):
+            labels = _json_list(_json_object(entry, f"labeling {i}"), "labels")
             if len(labels) != len(items):
                 raise MalformedInstance(
                     "each labeling needs exactly one label per item"

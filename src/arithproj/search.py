@@ -11,40 +11,43 @@ search keeps one representative per symmetry class.
 One depth-first walk covers both spaces.  It visits a list of choice groups
 and, at each group, first skips it and then tries each of its cells in turn.
 A group is a diagonal x - y = d in the difference-injective space and a
-single cell (in x-major order) otherwise.  The walk recurses at most once
-per group, so a spec may have at most _GROUP_LIMIT groups.
+single cell (in x-major order) otherwise.  A skip child keeps its parent's
+cells, so the walk enters a run of skip children in one step and recurses
+only to choose a cell, at most once per group: a spec may have at most
+_GROUP_LIMIT groups.
 
 The walk passes its state down as arguments, so choosing a cell pushes and
 pops nothing.  The state is one int occupancy mask, with a bit per value of
 each budgeted slice that the chosen cells take (and, only where pairs may
 share a difference, a bit per difference), the slice sizes packed into
-another int, the max slice, #differences and the cells as a linked chain.
-Each slice's bit block spans the values its form (alpha, beta) takes on
-{0..K}^2, from K*(min(alpha,0) + min(beta,0)) to K*(max(alpha,0) +
-max(beta,0)).  In the difference-injective space every chosen cell adds a
-new difference, so #differences is the number of chosen cells.  Each node
+another int, the max slice, the number of cells and the cells as a linked
+chain.  Each slice's bit block spans the values its form (alpha, beta)
+takes on {0..K}^2, from K*(min(alpha,0) + min(beta,0)) to K*(max(alpha,0) +
+max(beta,0)).  #differences is read at the leaves: the number of cells in
+the difference-injective space, of difference bits otherwise.  Each node
 computes once the mask of absent values in the slices at the max; a cell
 raises the max by one exactly when one AND with that mask is nonzero.  Each
-node is counted, checked against the budget and pruned in its parent, so a
-pruned child or a leaf costs no call.  The last group is a single cell in
-both spaces, (K, 0) or (K, K), so its two leaves are scored straight in
-their parent.  Both modes prune a subtree only when even one more pair per
-remaining group could not reach the incumbent's score, so no leaf in it
-could tie.  Branch-and-bound mode counts a pruned child as one node;
-exhaustive mode counts its whole subtree, whose size follows from the group
-sizes, so it reports the full tree's node count (and, under a budget, the
-same cut) without visiting the subtrees it proves dominated.  A node reads
-that verdict at most once, for its children that raise the max; those that
-keep it repeat the verdict that admitted the node.  Only a leaf that ties
-or beats the incumbent is built as a pattern and canonicalized.
+child is counted and pruned in its parent, so a pruned child or a leaf
+costs no call; the last group is a single cell in both spaces, (K, 0) or
+(K, K), so its two leaves are scored straight in their parent.  Both modes
+prune a subtree only when even one more pair per remaining group could not
+reach the incumbent's score, so no leaf in it could tie.  Branch-and-bound
+mode counts a pruned child as one node; exhaustive mode counts its whole
+subtree, whose size follows from the group sizes, so it reports the full
+tree's node count (and, under a budget, the same cut) without visiting the
+subtrees it proves dominated.  The budget is checked only where crossing it
+can change the result: as a node is entered, before a leaf is recorded and
+on return; nothing is recorded past it, and the count is clamped to budget+1.
 
-Score comparisons are decided exactly by the root rule of compare_scores:
-log ratios whose numbers share primitive roots compare through one integer
-power comparison, and any other pair is separated by a rational u/v whose
-position is checked through integer powers (count**v vs slice**u).  The walk
-memoizes each verdict against the incumbent by score and starts a fresh memo
-whenever the incumbent rises, so compare_scores sees each score at most once
-per incumbent.
+Scores are compared exactly, by the root rule of compare_scores.  The walk
+itself compares integers: need[t] is the least #differences that ties or
+beats the incumbent at max slice t.  A score falls as its max slice rises,
+so need never falls; one sweep of compare_scores, memoized per incumbent,
+refills it when the incumbent rises, and it grows a max slice at a time as
+the walk reaches one.  Prunes, cuts and leaves each read one entry; only
+recording a leaf asks for the exact sign.  Only a leaf that ties or beats
+the incumbent is canonicalized, and only a new tie class is built as a
+pattern.
 """
 
 from __future__ import annotations
@@ -71,8 +74,8 @@ __all__ = [
 
 _EXHAUSTIVE_CELL_LIMIT = 25  # (K+1)**2 above this forbids exhaustive mode
 _WITNESS_CAP = 64  # witnesses kept in a result, least first
-# the walk recurses at most once per choice group, so this keeps it well
-# under the default recursion limit of 1000
+# the walk recurses once per chosen cell, so at most once per choice group:
+# this keeps it well under the default recursion limit of 1000
 _GROUP_LIMIT = 256
 
 
@@ -82,6 +85,14 @@ def _normalized(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ..
     return tuple(sorted((x - mx, y - my) for x, y in pairs))
 
 
+def _canonical_pairs(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+    """The least of the distinct cells and their joint reflection, both at the origin."""
+    base = _normalized(pairs)
+    top_x = max(x for x, _ in base)
+    top_y = max(y for _, y in base)
+    return min(base, _normalized(tuple((top_x - x, top_y - y) for x, y in base)))
+
+
 def canonicalize(pattern: DigitPattern) -> DigitPattern:
     """Lexicographically least pattern in the symmetry orbit.
 
@@ -89,11 +100,7 @@ def canonicalize(pattern: DigitPattern) -> DigitPattern:
     reflection of both coordinates inside the pattern's bounding box.  All of
     these preserve the slice sizes and difference injectivity.
     """
-    base = _normalized(pattern.pairs)
-    top_x = max(x for x, _ in base)
-    top_y = max(y for _, y in base)
-    mirrored = _normalized(tuple((top_x - x, top_y - y) for x, y in base))
-    return DigitPattern(pairs=min(base, mirrored), constrain_d=pattern.constrain_d)
+    return DigitPattern(_canonical_pairs(pattern.pairs), pattern.constrain_d)
 
 
 def _integer_root(n: int, k: int) -> int:
@@ -250,16 +257,20 @@ def _exponent(count: int, slice_size: int) -> float:
     return math.log(count) / math.log(slice_size) if count > 1 else 0.0
 
 
-class _Memo(dict):
-    """A dict that fills each missing key with f(key), once."""
+def _thresholds(verdict, need: list[int], tops: int, counts: int) -> list[int]:
+    """Extend need in place to tops entries and return it.
 
-    def __init__(self, f) -> None:
-        super().__init__()
-        self.f = f
-
-    def __missing__(self, key):
-        value = self[key] = self.f(key)
-        return value
+    need[t] is the least c <= counts with verdict(c, t) >= 0, or counts + 1
+    if there is none; need starts as [0, 0], as no max slice below 2 scores.
+    A score falls as its max slice rises, so need never falls, and the sweep
+    goes on from the last entry with one verdict per step up in c or t.
+    """
+    count = max(need[-1], 1)
+    for top in range(len(need), tops):
+        while count <= counts and verdict(count, top) < 0:
+            count += 1
+        need.append(count)
+    return need
 
 
 def _bit_blocks(forms: list[LinearForm], k: int) -> list[tuple[int, int]]:
@@ -300,152 +311,141 @@ def search(spec: SearchSpec) -> SearchResult:
     forms = list(budgeted_slices(spec.constrain_d).values())
     blocks = _bit_blocks(forms + ([] if injective else [DIFFERENCE]), k)
     slice_blocks = [mask for _, mask in blocks[: len(forms)]]
+    differences = 0 if injective else blocks[-1][1]
+    # a cell's bits: its value in each block (zip stops at the last block)
+    block_forms = list(zip(forms + [DIFFERENCE], blocks))
     groups = [
-        [
-            (
-                cell,
-                sum(1 << offset + f(*cell) for f, (offset, _) in zip(forms, blocks)),
-                0 if injective else 1 << blocks[-1][0] + DIFFERENCE(*cell),
-            )
-            for cell in group
-        ]
+        [(cell, sum(1 << o + f(*cell) for f, (o, _) in block_forms)) for cell in group]
         for group in cell_groups
     ]
     # the slice sizes travel packed, one field per slice, each field wide
     # enough for every slice bit: grow[new] is what the new values in new
-    # add to them, and at_max[sizes] the blocks of the slices at the max
+    # add to them, and at_max[sizes] the blocks of the slices at the max,
+    # both filled on a miss (a dict subclass would slow every hit)
     field = slice_blocks[-1].bit_length().bit_length()
-    grow = _Memo(
-        lambda new: sum(1 << field * j for j, b in enumerate(slice_blocks) if new & b)
-    )
+    grow: dict[int, int] = {}
+    at_max: dict[int, int] = {}
 
-    def blocks_at_max(sizes: int) -> int:
+    def fill_at_max(sizes: int) -> int:
         values = [sizes >> field * j & (1 << field) - 1 for j in range(len(forms))]
         top = max(values)
-        return sum(b for b, v in zip(slice_blocks, values) if v == top)
+        mask = at_max[sizes] = sum(b for b, v in zip(slice_blocks, values) if v == top)
+        return mask
 
-    at_max = _Memo(blocks_at_max)
     last = len(groups)
     # the last group is one cell in both spaces: the diagonal x - y = k
     # holds only (k, 0), and the x-major cells end at (k, k)
-    ((last_cell, last_bits, last_dbit),) = groups[-1]
+    ((last_cell, last_bits),) = groups[-1]
     limit = spec.node_budget or sys.maxsize  # the node count never gets there
     # what a pruned child at each group index adds to the node count
     weight = [1] * (last + 1)
     if spec.mode == "exhaustive":
         for i in reversed(range(last)):
             weight[i] = 1 + (1 + len(groups[i])) * weight[i + 1]
-    nodes = 1  # the root, the one node no parent counts
+    nodes = 0  # expand counts each node it enters, the root too
     best: tuple[int, int] | None = None  # (#differences, max slice)
-    # compare_scores(*score, *best) per score, asked once per incumbent;
-    # anything that scores beats no incumbent
-    verdicts = _Memo(lambda score: 1)
+    # the sign of a score against the incumbent, asked once per incumbent;
+    # anything that scores beats no incumbent, so need[2] = 1.  need covers
+    # each max slice the walk has reached; no count or bound exceeds last
+    verdict = lambda count, top: 1
+    need = [0, 0, 1]
     ties: dict[tuple[tuple[int, int], ...], DigitPattern] = {}  # by canonical pairs
 
-    def record(score: tuple[int, int], sign: int, chain) -> None:
+    def record(score: tuple[int, int], chain) -> None:
         # only ties and new bests are canonicalized: scores are
         # symmetry-invariant and best only rises, so a class that lost
-        # once can never tie later
-        nonlocal best, ties, verdicts
+        # once can never tie later.  Nothing past the budget is recorded.
+        nonlocal best, ties, verdict
+        if nodes > limit:
+            return
         pairs = []
         while chain:
             cell, chain = chain
             pairs.append(cell)
-        pattern = canonicalize(DigitPattern(tuple(pairs), spec.constrain_d))
-        if sign > 0:
+        key = _canonical_pairs(tuple(pairs))
+        if verdict(*score) > 0:
             best, ties = score, {}
-            verdicts = _Memo(lambda other: compare_scores(*other, *score))
-        ties.setdefault(pattern.pairs, pattern)
+            verdict = functools.cache(lambda c, t: compare_scores(c, t, *score))
+            need[:] = _thresholds(verdict, [0, 0], len(need), last)
+        if key not in ties:
+            ties[key] = DigitPattern(key, spec.constrain_d)
 
-    def expand(
-        index: int, occ: int, sizes: int, top: int, count: int, size: int, chain, rises=None
-    ) -> bool:
-        """Visit the children of a counted node; True once the budget is hit.
+    def expand(index: int, occ: int, sizes: int, top: int, size: int, chain) -> bool:
+        """Count and visit a node entered by a cell (or the root); True past the budget.
 
-        occ has a bit per value of each budgeted slice (and per difference
-        when pairs may share one) that the chosen cells take, and sizes
-        packs the slice sizes; top is the max slice of the chosen cells,
-        count their #differences and size their number.  chain links them
-        as (cell, chain), () at the root.  rises, when given, is the mask
-        of values that raise the max.  Each child is counted here, before
-        it is scored or expanded; a pruned one adds weight[child].
+        occ, sizes, top (the max slice), size (the number of cells) and
+        chain ((cell, chain), () at the root) are the state the module
+        docstring describes.  Pruned children may carry nodes past limit + 1.
         """
         nonlocal nodes
-        if rises is None:
-            # the absent values of the slices at the max: a cell that takes
-            # one raises the max by one
-            rises = at_max[sizes] & ~occ
-        child = index + 1
-        if child == last:
+        # enter the run of skip children below at once, down to the first
+        # whose skip child is pruned or whose children are leaves.  Only
+        # strictly dominated subtrees are pruned (slices are monotone, so a
+        # tie may hide a witness): a child at index c needs reach - c, one
+        # more pair for each group from c on, to meet need[top]
+        reach = size + last
+        node = reach - need[top]
+        node = last - 1 if node >= last else index if node < index else node
+        nodes += node - index + 1
+        if nodes > limit:
+            return True
+        vacant = ~occ
+        # a cell that takes an absent value of a slice at the max raises it
+        try:
+            rises = at_max[sizes] & vacant
+        except KeyError:
+            rises = fill_at_max(sizes) & vacant
+        if node < last - 1:
+            nodes += weight[node + 1]
+        else:
             # the children are leaves, scored without a call: the node
             # itself, and the one cell of the last group with it
             nodes += 1
-            if nodes > limit:
-                return True
-            if top >= 2:
-                sign = verdicts[count, top]
-                if sign >= 0:
-                    record((count, top), sign, chain)
+            count = (occ & differences).bit_count() if differences else size
+            if top >= 2 and count >= need[top]:
+                record((count, top), chain)
             nodes += 1
-            if nodes > limit:
-                return True
-            leaf_top = top + 1 if last_bits & rises else top
-            if leaf_top >= 2:
-                leaf_count = count + (not occ & last_dbit)
-                sign = verdicts[leaf_count, leaf_top]
-                if sign >= 0:
-                    record((leaf_count, leaf_top), sign, (last_cell, chain))
-            return False
-        # prune only strictly dominated subtrees: slices are monotone under
-        # adding cells, so a tie here may still hide a witness; the bound
-        # gives each group after the child one more pair
-        bound = size + last - child
-        if top >= 2 and verdicts[bound, top] < 0:
-            nodes += weight[child]
-            if nodes > limit:
-                return True
-        else:
-            nodes += 1
-            if nodes > limit:
-                return True
-            if expand(child, occ, sizes, top, count, size, chain, rises):
-                return True
-        # a cell child that keeps the max needs no verdict: (bound, top)
-        # admitted this node or its nearest admitted ancestor (a skip
-        # child's cell bound is its parent's skip bound, a cell child's is
-        # its parent's), and every leaf found since scores at most that.
-        # The verdict for one that raises the max is read once, when first
-        # needed, as what each such child adds when pruned (0: admitted); a
-        # later incumbent could only prune more.
-        bound += 1
-        cut = None
-        for cell, bits, dbit in groups[index]:
-            child_top = top
-            if bits & rises:
-                if cut is None:
-                    cut = 0 if top < 1 or verdicts[bound, top + 1] >= 0 else weight[child]
-                if cut:
-                    nodes += cut
-                    if nodes > limit:
-                        return True
-                    continue
-                child_top += 1
-            nodes += 1
-            if nodes > limit:
-                return True
-            if expand(
-                child,
-                occ | bits | dbit,
-                sizes + grow[bits & ~occ],
-                child_top,
-                count + (not occ & dbit),
-                size + 1,
-                (cell, chain),
-            ):
-                return True
-        return False
+            top_with = top + 1 if last_bits & rises else top
+            with_last = occ | last_bits
+            count = (with_last & differences).bit_count() if differences else size + 1
+            if top_with >= 2 and count >= need[top_with]:
+                record((count, top_with), (last_cell, chain))
+            node -= 1
+        # then the cell children of each chain node, deepest first.  One
+        # that keeps the max needs no threshold: need[top] admitted its
+        # parent or the parent's nearest admitted ancestor, and need only
+        # rises.  need[top + 1] is read once per parent, at its first child
+        # that raises the max, as what each such child adds when pruned (0:
+        # admitted), and extended there to cover every max slice below.
+        for parent in range(node, index - 1, -1):
+            child = parent + 1
+            cut = None
+            for cell, bits in groups[parent]:
+                if bits & rises:
+                    if cut is None:
+                        if len(need) < top + 3:
+                            _thresholds(verdict, need, top + 3, last)
+                        cut = 0 if reach - parent >= need[top + 1] else weight[child]
+                    if cut:
+                        nodes += cut
+                        continue
+                    child_top = top + 1
+                else:
+                    child_top = top
+                new = bits & vacant
+                try:
+                    grown = grow[new]
+                except KeyError:
+                    grown = grow[new] = sum(
+                        1 << field * j for j, b in enumerate(slice_blocks) if new & b
+                    )
+                if expand(
+                    child, occ | bits, sizes + grown, child_top, size + 1, (cell, chain)
+                ):
+                    return True
+        return nodes > limit
 
-    exhausted = expand(0, 0, 0, 0, 0, 0, ())
+    exhausted = expand(0, 0, 0, 0, 0, ())
     witnesses = sorted(ties.values(), key=lambda p: (len(p.pairs), p.pairs))
     # a budget crossed inside a counted subtree stops the full walk there
     # too, at node limit + 1 and with the same incumbent

@@ -341,6 +341,23 @@ def test_lemma_requires_json_lists(doc, key, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "doc, what",
+    [
+        ([1, 2], "chain problem document must be a JSON object, got list"),
+        ({"items": [0, 1], "labelings": [[1, 1]]}, "labeling 0 must be a JSON object"),
+        ({"items": [0], "labelings": [{"labels": [1]}, 3]}, "labeling 1 must be a JSON object"),
+    ],
+)
+def test_lemma_requires_json_objects(doc, what, tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, ["lemma", str(path)])
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error:") and what in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["verify", "inst.json", "--cap", "-5"],

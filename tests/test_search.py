@@ -386,6 +386,34 @@ def test_walk_compares_each_score_once_per_incumbent(monkeypatch):
     assert 0 < len(calls) == len(set(calls)) < 100
 
 
+def test_threshold_sweep_matches_compare_scores():
+    """need[t] is the least count whose score ties or beats the incumbent at t."""
+    sweep = search_module._thresholds
+    limit = 60
+    for best in ((6, 3), (8, 4), (10, 4), (12, 5)):
+        verdict = lambda c, t, best=best: compare_scores(c, t, *best)
+        need = sweep(verdict, [0, 0], 21, limit)
+        expected = [
+            next((c for c in range(1, limit + 1) if verdict(c, t) >= 0), limit + 1)
+            for t in range(2, 21)
+        ]
+        assert need[2:] == expected, best
+        # max slices where no count up to the limit reaches the incumbent
+        assert expected[0] <= limit < expected[-1]
+        # grown one max slice at a time, as the walk grows it, the list is the same
+        grown = [0, 0]
+        for tops in range(3, 22):
+            sweep(verdict, grown, tops, limit)
+        assert grown == need
+    # ln 100 / ln 16 = ln 10 / ln 4 exactly, so 100 is the least count at 16
+    assert compare_scores(100, 16, 10, 4) == 0
+    verdict = lambda c, t: compare_scores(c, t, 10, 4)
+    need = sweep(verdict, [0, 0], 17, 120)
+    assert need[16] == 100 and verdict(99, 16) < 0
+    # with the limit at 99 no count reaches it, so the entry is limit + 1
+    assert sweep(verdict, [0, 0], 17, 99)[16] == 100
+
+
 def test_spec_rejects_walks_deeper_than_the_group_limit():
     limit = search_module._GROUP_LIMIT
     with pytest.raises(ValueError, match="choice groups"):
@@ -707,9 +735,12 @@ def test_budget_cuts_match_the_one_call_per_node_walk():
             997,
         )
     )
-    # exhaustive mode prunes too, so only the reference walk checks it
-    # without a prune: the benchmark's K=4 walk in four slices
+    # the benchmark's K=4 walks in four slices: exhaustive mode prunes too,
+    # so only the reference walk checks it without a prune
     cases.append((SearchSpec(alphabet_max=4, constrain_d=True), 1009))
+    cases.append(
+        (SearchSpec(alphabet_max=4, constrain_d=True, mode="branch-bound"), 101)
+    )
     for spec, stride in cases:
         expected = reference_results(spec)
         total = len(expected)
