@@ -41,7 +41,9 @@ packed dense rows over the label and partner ids, or int-keyed dicts
 holding at most one entry per wedge.  A packed row is one int with a
 fixed-width field per label or partner id, so a pair (a, b) adds a row's
 whole indicator with one big-int add, and each table is unpacked once,
-through int.to_bytes and memoryview.cast.  The dense quads are the sum over
+through int.to_bytes: an 8-bit row stays one bytes object, which reads
+each field back as an int, and wider rows become lists through one
+memoryview.cast of the whole table.  The dense quads are the sum over
 first wedges (a, b, b2) of c1[a+b][a+b2] * F3[b][b2], where F3[b] sums
 n3[a+b] & mask(partners of a) over the a with (a, b) in G.  A field is the
 narrowest of 8, 16, 32 or 64 bits that holds its proven maximum: c1 and n3
@@ -50,8 +52,9 @@ fields at most #rows^2, and collision fields at most #G, because a+2b
 repeats within a row mod an even m; a relation that fits no width takes
 the sparse path.  The quads go dense while #C^2 + #C*#B + #B^2 <=
 12 * wedges; up to that ratio the dense tracemalloc peak stays at or below
-the sparse one.  The collisions go dense while #D*#B + 8 * #G <
-2 * wedges, which also charges the dense kernel's work per pair.
+the sparse one.  The collisions go dense while #D*#B + 2 * #G <
+3 * wedges, a rule fitted to the two kernels' times on small random
+walks, which charges the dense kernel's work per slot and per pair.
 linked_quad_problem and skew_collision_problem build the same counts as
 explicit ChainProblems for cross-checking.
 """
@@ -210,10 +213,14 @@ def _packed(ids: Sequence[int], width: int) -> int:
     return row
 
 
-def _unpacked(table: list[int], fields: int, width: int) -> list[list[int]]:
-    """Each packed int of table as the list of its first fields fields,
-    lowest bits first: one join and one cast for the whole table."""
+def _unpacked(table: list[int], fields: int, width: int) -> list[bytes] | list[list[int]]:
+    """Each packed int of table as its first fields fields, lowest bits
+    first: at width 8 one bytes object per row, which reads each field back
+    as an int, and at wider widths lists from one join and one cast for the
+    whole table."""
     size = fields * width // 8
+    if width == 8:
+        return [row.to_bytes(size, "little") for row in table]
     data = b"".join([row.to_bytes(size, sys.byteorder) for row in table])
     view = memoryview(data).cast(_CAST_CODES[width])
     rows = [view[i * fields : (i + 1) * fields].tolist() for i in range(len(table))]
@@ -374,9 +381,9 @@ def count_skew_collisions(inst: Instance) -> int:
 
 
 def _skew_collisions(walk: _IdRows) -> int:
-    # a dense pair costs what the dense table saves on about four wedges,
-    # and a slot what it saves on half of one
-    if walk.labels * walk.partners + 8 * walk.pairs < 2 * walk.wedges:
+    # fitted to per-walk kernel timings: a dense slot costs what the dense
+    # table saves on a third of a wedge, and a dense pair on two thirds
+    if walk.labels * walk.partners + 2 * walk.pairs < 3 * walk.wedges:
         return _skew_collisions_dense(walk)
     return _skew_collisions_sparse(walk)
 
@@ -394,7 +401,9 @@ def _skew_collisions_dense(walk: _IdRows) -> int:
     size, code = walk.partners * width // 8, _CAST_CODES[width]
     collisions = 0
     for fiber in fibers:  # one fiber's bytes at a time; the order of fields is moot
-        sizes = memoryview(fiber.to_bytes(size, sys.byteorder)).cast(code)
+        sizes = fiber.to_bytes(size, sys.byteorder)
+        if width != 8:  # 8-bit fields read straight off the bytes
+            sizes = memoryview(sizes).cast(code)
         collisions += sum(map(operator.mul, sizes, sizes))
     return collisions
 

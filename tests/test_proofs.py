@@ -464,7 +464,10 @@ def test_unpacked_round_trips_the_largest_field_at_every_width():
         assert proofs._field_width(largest) == width
         assert proofs._field_width(largest + 1) == (2 * width if width < 64 else None)
         table = [largest | largest << (2 * width), 0, largest << (2 * width)]
-        assert proofs._unpacked(table, 3, width) == [
+        rows = proofs._unpacked(table, 3, width)
+        # 8-bit rows stay bytes, which read each field back as an int
+        assert all(isinstance(row, bytes) == (width == 8) for row in rows)
+        assert [list(row) for row in rows] == [
             [largest, 0, largest],
             [0, 0, 0],
             [0, 0, largest],
@@ -558,8 +561,8 @@ def test_dense_rule_reads_the_slice_sizes(monkeypatch):
     verify_four_slice_chain(ex2, 4**4)
     assert picked == ["_linked_quads_dense", "_skew_collisions_dense"]
     # 18 pairs, 82 wedges: 399 quad slots, under 12 per wedge, go dense;
-    # 45 collision slots fit inside the wedges, but with the rule's charge
-    # per pair 45 + 8 * 18 >= 2 * 82, so the collisions stay sparse
+    # 45 collision slots and the rule's charge per pair, 45 + 2 * 18, stay
+    # under 3 * 82, so the collisions go dense too
     small = reduce_to_difference_injective(random_instance(random.Random(33)))
     sums = proofs._id_rows(small, 1, one_per_difference=False)
     skew = proofs._id_rows(small, 2, one_per_difference=False)
@@ -569,7 +572,20 @@ def test_dense_rule_reads_the_slice_sizes(monkeypatch):
     picked.clear()
     count_linked_quads(small)
     count_skew_collisions(small)
-    assert picked == ["_linked_quads_dense", "_skew_collisions_sparse"]
+    assert picked == ["_linked_quads_dense", "_skew_collisions_dense"]
+    # one seeded instance on each side of the collision boundary: 10 x 10
+    # slots + 2 * 11 pairs is one under 3 * 41 wedges, and 7 x 7 + 2 * 7
+    # meets 3 * 21
+    for seed, sizes, kernel in (
+        (687, (10, 10, 11, 41), "_skew_collisions_dense"),
+        (1253, (7, 7, 7, 21), "_skew_collisions_sparse"),
+    ):
+        inst = reduce_to_difference_injective(random_instance(random.Random(seed)))
+        skew = proofs._id_rows(inst, 2, one_per_difference=False)
+        assert (skew.labels, skew.partners, skew.pairs, skew.wedges) == sizes
+        picked.clear()
+        count_skew_collisions(inst)
+        assert picked == [kernel]
 
 
 def exhaustive_round_trip(inst: Instance) -> tuple[int, int]:

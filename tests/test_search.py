@@ -7,6 +7,7 @@ import importlib
 import itertools
 import math
 import random
+import sys
 import timeit
 
 import pytest
@@ -452,6 +453,53 @@ def test_node_budget_flags_result():
     assert result.nodes_explored == 20001
     assert result.best_exponent == math.log(6) / math.log(3)
     assert {w.pairs for w in result.witnesses} == frozen.K3_WITNESSES
+
+
+# nodes the branch-bound walk enters (calls to search's inner expand) at
+# node_budget = 1, 98, 195, ...: K=3 over its whole walk, K=4 and K=5 up
+# to 3,784.  A walk that enters one more node after crossing the budget
+# keeps its result, since nothing is recorded past the budget and the count
+# is clamped, so only these counts see it.
+BRANCH_BOUND_ENTRIES = {
+    3: (1, 25, 46, 61, 74, 89, 112, 136, 155, 176, 194, 217, 241, 262, 282, 302),
+    4: (
+        1, 25, 46, 60, 73, 88, 103, 116, 136, 155, 171, 195, 217, 232, 257, 278,
+        292, 313, 330, 347, 369, 388, 409, 425, 443, 457, 476, 491, 507, 521, 545,
+        567, 588, 601, 621, 639, 659, 675, 692, 707,
+    ),
+    5: (
+        1, 24, 45, 60, 73, 87, 102, 116, 135, 150, 167, 187, 202, 224, 249, 265,
+        286, 308, 328, 344, 363, 379, 394, 413, 428, 446, 464, 477, 492, 506, 519,
+        533, 546, 560, 576, 599, 617, 632, 652, 667,
+    ),
+}
+
+
+def expand_entries(spec: SearchSpec) -> int:
+    """The number of calls to search's inner expand during one walk."""
+    entries = 0
+
+    def profile(frame, event, arg):
+        nonlocal entries
+        if event == "call" and frame.f_code.co_name == "expand":
+            entries += 1
+
+    sys.setprofile(profile)
+    try:
+        search(spec)
+    finally:
+        sys.setprofile(None)
+    return entries
+
+
+def test_budget_stops_the_walk_on_entering_a_node():
+    for k, entries in BRANCH_BOUND_ENTRIES.items():
+        budgets = range(1, 97 * len(entries), 97)
+        got = tuple(
+            expand_entries(SearchSpec(alphabet_max=k, mode="branch-bound", node_budget=b))
+            for b in budgets
+        )
+        assert got == entries, k
 
 
 def test_all_subsets_mode_matches_brute_force():
