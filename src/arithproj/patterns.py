@@ -165,8 +165,9 @@ def tensor_pattern(pattern: DigitPattern, length: int, base: int | None = None) 
     Built one digit at a time, most significant first: each step takes a
     value v to v * base + digit for every pattern pair (x, y), so every
     element is sum(digit_i * base**i), and pairs, A and B come out sorted.
-    Every combination of alphabet digits occurs in some tensored pair, so A
-    and B are the two coordinate projections of the pairs.  Raises
+    Every combination of alphabet digits occurs in some tensored pair, so
+    A and B, each built over its sorted digit alphabet in the same steps,
+    are the two coordinate projections of the pairs.  Raises
     InvalidBase below the carry-free threshold, and InstanceTooLarge when
     length exceeds 63 digits, when the pair count would exceed
     DEFAULT_PAIR_CAP, or when the largest element, max digit *
@@ -197,23 +198,22 @@ def tensor_pattern(pattern: DigitPattern, length: int, base: int | None = None) 
     by_digit: dict[int, list[int]] = {}
     for x, y in pattern.pairs:  # sorted, so each list of y digits is too
         by_digit.setdefault(x, []).append(y)
-    # (a, partners of a), both sorted: appending a digit below the base to
-    # sorted values keeps them sorted
-    rows = [(0, [0])]
+    y_digits = sorted({y for _, y in pattern.pairs})
+    # (a, partners of a), both sorted, and B: appending a digit below the
+    # base to sorted values keeps them sorted
+    rows, b_set = [(0, [0])], [0]
     for _ in range(length):
         rows = [
             (a * base + x, [b * base + y for b in partners for y in ys])
             for a, partners in rows
             for x, ys in by_digit.items()
         ]
+        b_set = [b * base + y for b in b_set for y in y_digits]
     pairs = tuple([(a, b) for a, partners in rows for b in partners])
     # At or above min_base distinct digit strings give distinct integers, so
     # the pairs are distinct and already in stored form: nothing is checked.
     return Instance._unchecked(
-        AmbientGroup.integers(),
-        tuple([a for a, _ in rows]),
-        tuple(sorted({b for _, b in pairs})),
-        pairs,
+        AmbientGroup.integers(), tuple([a for a, _ in rows]), tuple(b_set), pairs
     )
 
 

@@ -46,27 +46,32 @@ each field back as an int, and wider rows become lists through one
 memoryview.cast of the whole table.  The dense quads are the sum over
 first wedges (a, b, b2) of c1[a+b][a+b2] * F3[b][b2], where F3[b] sums
 n3[a+b] & mask(partners of a) over the a with (a, b) in G.  A field is the
-narrowest of 8, 16, 32 or 64 bits that holds its proven maximum: c1 and n3
-fields count at most #rows (a row meets a sum at one partner at most), F3
-fields at most #rows^2, and collision fields at most #G, because a+2b
-repeats within a row mod an even m; a relation that fits no width takes
-the sparse path.  The quads go dense while #C^2 + #C*#B + #B^2 <=
-12 * wedges; up to that ratio the dense tracemalloc peak stays at or below
-the sparse one.  The collisions go dense while #D*#B + 2 * #G <
-3 * wedges, a rule fitted to the two kernels' times on small random
-walks, which charges the dense kernel's work per slot and per pair.
-linked_quad_problem and skew_collision_problem build the same counts as
-explicit ChainProblems for cross-checking.
+narrowest of 8, 16, 32 or 64 bits that holds a bound the rows prove: c1
+and n3 fields count at most the largest sum fiber (a row meets a sum at
+one partner at most), F3 fields at most that fiber times the largest
+partner column degree, and collision fields at most the largest skew
+fiber, which counts pairs because a+2b repeats within a row mod an even
+m.  One C-level count over the numbered rows measures these fibers, and
+only when their averages and their coarse bounds, #rows, #rows^2 and #G,
+give different widths, so no field is wider than its coarse bound; a
+relation that fits no width takes the sparse path.  The quads go dense
+while #C^2 + #C*#B + #B^2 <= 12 * wedges; up to that ratio the dense
+tracemalloc peak stays at or below the sparse one.  The collisions go
+dense while #D*#B + 2 * #G < 3 * wedges, a rule fitted to the two kernels'
+times on small random walks, which charges the dense kernel's work per
+slot and per pair.  linked_quad_problem and skew_collision_problem build
+the same counts as explicit ChainProblems for cross-checking.
 """
 
 from __future__ import annotations
 
 import operator
 import sys
-from collections import defaultdict
-from collections.abc import Sequence
+from collections import Counter, defaultdict
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 # chain_count_dp is re-exported: it counts the explicit problems below.
@@ -205,6 +210,38 @@ def _field_width(largest: int) -> int | None:
     return None
 
 
+def _largest_fiber(ids: Iterable[Sequence[int]]) -> int:
+    """The most times one id occurs in the rows' id lists, by a C-level count."""
+    return max(Counter(chain.from_iterable(ids)).values(), default=0)
+
+
+def _quad_widths(walk: _IdRows) -> tuple[int | None, int | None]:
+    """The c1 and the n3 and F3 field widths, by the module docstring's
+    bounds: the largest sum fiber and column degree lie between their
+    averages over the #C sums and #B partners and #rows, so the rows are
+    counted only when those ends give different widths."""
+    rows, pairs = walk.rows, walk.pairs
+    widths = _field_width(len(rows)), _field_width(len(rows) ** 2)
+    if widths[1] == 8:  # so are the averages' widths, and #rows >= 16 below
+        return widths
+    fiber, degree = -(-pairs // walk.labels), -(-pairs // walk.partners)
+    if widths != (_field_width(fiber), _field_width(fiber * degree)):
+        fiber = _largest_fiber(sums for _, sums in rows)
+        degree = _largest_fiber(ys for ys, _ in rows)
+        widths = _field_width(fiber), _field_width(fiber * degree)
+    return widths
+
+
+def _collision_width(walk: _IdRows) -> int | None:
+    """The skew fiber field width, by the module docstring's bound: the
+    largest skew fiber lies between its average over the #D labels and #G,
+    so the rows are counted only when those ends give different widths."""
+    width = _field_width(walk.pairs)
+    if width != 8 and width != _field_width(-(-walk.pairs // walk.labels)):
+        width = _field_width(_largest_fiber(labels for _, labels in walk.rows))
+    return width
+
+
 def _packed(ids: Sequence[int], width: int) -> int:
     """A row's indicator: the field of width bits at each id set to 1."""
     row = 0
@@ -270,9 +307,8 @@ def count_linked_quads(inst: Instance) -> int:
     (a, b).  The dense tables are packed rows: F3[b][b2] sums n3[a+b][b2]
     over the a with (a, b) and (a, b2) in G, at one AND with a's row mask
     and one add per pair, and the count is one dot product of c1[a+b] and
-    F3[b] per pair (a, b).  Fields are 8 to 64 bits wide: at most #rows for
-    c1 and n3, at most #rows^2 for F3.  The form is picked by the rule in
-    the module docstring.
+    F3[b] per pair (a, b).  Fields are 8 to 64 bits wide, sized as the
+    module docstring says.  The form is picked by the rule there too.
     """
     walk = _id_rows(inst, 1, one_per_difference=False)
     _check_cap(walk.wedges, DEFAULT_WEDGE_CAP)
@@ -292,8 +328,7 @@ def _linked_quads_dense(walk: _IdRows) -> int:
     packed rows: F3[b][b2] counts the last wedges of the third wedges
     (a', b, b2) that the first wedge's chains reach."""
     rows, n_c, n_b = walk.rows, walk.labels, walk.partners
-    first = _field_width(len(rows))  # a c1 or n3 field counts rows
-    wide = _field_width(len(rows) ** 2)  # an F3 field sums n3 fields over rows
+    first, wide = _quad_widths(walk)
     if wide is None:
         return _linked_quads_sparse(walk)
     c1, n3 = [0] * n_c, [0] * n_c  # n3 has F3's width, so its fields add into F3
@@ -372,8 +407,8 @@ def count_skew_collisions(inst: Instance) -> int:
     fibers[a+2b] counts the row's partners b2 over the numbered rows of one
     walk over G, whose labels are the skew sums a+2b, dense or sparse by
     the rule in the module docstring.  A dense fiber is one packed int with
-    a field per partner of up to #G, not #rows, since a+2b repeats within a
-    row mod an even m.
+    a field per partner of up to the largest skew fiber, which counts pairs,
+    not rows, since a+2b repeats within a row mod an even m.
     """
     walk = _id_rows(inst, 2, one_per_difference=False)
     _check_cap(walk.wedges, DEFAULT_WEDGE_CAP)
@@ -389,8 +424,7 @@ def _skew_collisions(walk: _IdRows) -> int:
 
 
 def _skew_collisions_dense(walk: _IdRows) -> int:
-    # a+2b repeats within a row mod an even m, so a field counts up to #G pairs
-    width = _field_width(walk.pairs)
+    width = _collision_width(walk)
     if width is None:
         return _skew_collisions_sparse(walk)
     fibers = [0] * walk.labels

@@ -273,3 +273,20 @@ def test_tensor_pattern_equals_the_validated_instance():
         )
         assert inst == validated
         assert len(inst.pairs) == len(pattern.pairs) ** n
+
+
+def test_tensor_sets_are_the_sorted_projections_of_g():
+    """A and B, built digit by digit from the sorted digit alphabets, are
+    the sorted coordinate projections of the pairs, at min_base and above."""
+    rng = random.Random(67)
+    for _ in range(60):
+        cells = rng.sample(
+            [(x, y) for x in range(6) for y in range(6)], rng.randrange(1, 9)
+        )
+        pattern = DigitPattern(pairs=tuple(cells), constrain_d=bool(rng.random() < 0.5))
+        n = rng.randrange(1, 4)
+        base = min_base(pattern) + rng.choice((0, 0, 1, 5))
+        inst = tensor_pattern(pattern, n, base=base)
+        assert inst.a_set == tuple(sorted({a for a, _ in inst.pairs}))
+        assert inst.b_set == tuple(sorted({b for _, b in inst.pairs}))
+        assert len(inst.b_set) == len({y for _, y in pattern.pairs}) ** n

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -402,6 +403,7 @@ def test_dense_and_sparse_paths_match_chain_problems():
         kinds.add(raw.group.is_modular)
         checked_both_paths(raw)
         checked_both_paths(reduce_to_difference_injective(raw))
+        measured_widths(raw)
     assert kinds == {False, True}
 
 
@@ -428,33 +430,97 @@ def test_dense_and_sparse_paths_edge_shapes():
         checked_both_paths(path)
 
 
+def measured_widths(inst: Instance) -> tuple[int | None, int | None, int | None]:
+    """The c1, F3 and collision field widths the dense kernels take, once
+    each is checked to hold the largest sum fiber, that fiber times the
+    largest column degree, and the largest skew fiber, counted here over
+    the pairs, and to be at most its bound by #rows, #rows^2 or #G."""
+    g, width = inst.group, proofs._field_width
+    fiber = max(Counter(g.add(a, b) for a, b in inst.pairs).values(), default=0)
+    degree = max(Counter(b for _, b in inst.pairs).values(), default=0)
+    skew = max(Counter(g.add(a, g.scale(2, b)) for a, b in inst.pairs).values(), default=0)
+    rows = len(inst.partners())
+    walk = proofs._id_rows(inst, 1, one_per_difference=False)
+    widths = proofs._quad_widths(walk)
+    assert widths == (width(fiber), width(fiber * degree))
+    assert widths[0] <= width(rows) and widths[1] <= width(rows**2)
+    walk = proofs._id_rows(inst, 2, one_per_difference=False)
+    assert proofs._collision_width(walk) == width(skew) <= width(len(inst.pairs))
+    return *widths, width(skew)
+
+
 def test_packed_fields_at_their_width_edges():
+    """Each width edge of the fields sized by the fibers the walk measures,
+    on instances whose #rows or #G alone would ask for a wider field."""
+    # k rows a with N(a) = {-a, 1-a} share the sums 0 and 1, so c1 at (0, 0)
+    # counts k; one more row with a sum of its own puts #rows past 255
+    for k, first in ((255, 8), (256, 16)):
+        pairs = tuple((a, b) for a in range(k) for b in (-a, 1 - a)) + ((k, 10**6),)
+        inst = Instance(
+            group=Z,
+            a_set=range(k + 1),
+            b_set=sorted({b for _, b in pairs}),
+            pairs=pairs,
+        )
+        assert measured_widths(inst) == (first, 16, 8)
+        assert checked_both_paths(inst)[0] == 12 * k * k - 8 * k + 1
+    # (Z/m) x {0..d-1}: every sum fiber is d and every column degree m, and
+    # F3[b][b2] sums d over all m rows, so it reaches fiber * degree; the
+    # first wedge (a, b, b2) heads d - |b - b2| chains, times F3 = m * d
+    for m, d, wide in ((51, 5, 8), (64, 4, 16)):
+        grid = Instance(
+            group=AmbientGroup.integers_mod(m),
+            a_set=range(m),
+            b_set=range(d),
+            pairs=tuple((a, b) for a in range(m) for b in range(d)),
+        )
+        assert measured_widths(grid) == (8, wide, 8)
+        assert checked_both_paths(grid)[0] == m**2 * d**2 * (2 * d * d + 1) // 3
+    # f rows a with partner -a share the sum 0, and the first `degree` rows
+    # also meet 10**6: fiber * degree is 255 * 257 = 65535 (16 bits, where
+    # 257 rows ask for 32) or 256 * 256 = 65536
+    for fiber, degree, first, wide in ((255, 257, 8, 16), (256, 256, 16, 32)):
+        pairs = tuple(
+            (a, b)
+            for a in range(max(fiber, degree))
+            for b in (-a, 10**6)
+            if (b == 10**6 and a < degree) or (b == -a and a < fiber)
+        )
+        inst = Instance(
+            group=Z,
+            a_set=range(max(fiber, degree)),
+            b_set=sorted({b for _, b in pairs}),
+            pairs=pairs,
+        )
+        assert measured_widths(inst) == (first, wide, 8)
+        checked_both_paths(inst)
     # Z/256, A the 128 even residues, N(a) = {0, beta, beta + 128} with
-    # a + 2*beta = 0: both of a's other partners take the skew label 0, so
-    # the collision fiber (0, 0) counts 2 * 128 = 256 pairs, one past the
-    # 8-bit field that 128 rows would fit
+    # a + 2*beta = 0, the last row short of beta + 128 when dropped: the
+    # skew label 0 repeats within a row, so its fiber counts 256 - dropped
+    # pairs, and its field at partner 0, in every row, reaches that fiber
     m = 256
-    pairs = []
-    for a in range(0, m, 2):
-        beta = (-a // 2) % 128
-        pairs += [(a, b) for b in {0, beta, beta + 128}]
-    skew = Instance(
-        group=AmbientGroup.integers_mod(m),
-        a_set=range(0, m, 2),
-        b_set=range(m),
-        pairs=tuple(pairs),
-    )
-    partners = skew.partners()
-    assert len(partners) == 128
-    assert sum(1 for a, ys in partners.items() for b in ys if (a + 2 * b) % m == 0) == 256
-    assert checked_both_paths(skew)[1] == 66937
-    # 256 rows a with N(a) = {-a, 1-a}: every row's sums are 0 and 1, so
-    # c1 at (0, 0) counts all 256 rows, one past an 8-bit field
-    pairs = tuple((a, b) for a in range(256) for b in (-a, 1 - a))
-    sums = Instance(group=Z, a_set=range(256), b_set=range(-255, 2), pairs=pairs)
-    assert all({a + b for b in ys} == {0, 1} for a, ys in sums.partners().items())
-    assert proofs._field_width(len(sums.partners())) == 16
-    assert checked_both_paths(sums)[0] == 784384
+    for dropped, skew, collisions in ((1, 8, 66418), (0, 16, 66937)):
+        pairs = []
+        for a in range(0, m, 2):
+            beta = (-a // 2) % 128
+            row = {0, beta, beta + 128}
+            if dropped and a == m - 2:
+                row.discard(beta + 128)
+            pairs += [(a, b) for b in sorted(row)]
+        inst = Instance(
+            group=AmbientGroup.integers_mod(m),
+            a_set=range(0, m, 2),
+            b_set=range(m),
+            pairs=tuple(pairs),
+        )
+        assert sum(1 for a, b in pairs if (a + 2 * b) % m == 0) == 256 - dropped
+        assert len(pairs) >= 256
+        assert measured_widths(inst)[2] == skew
+        assert checked_both_paths(inst)[1] == collisions
+    # the benchmark tensors: example two's F3 fits 16 bits and its skew
+    # fibers 8, where its 256 rows and 4,096 pairs ask for 32 and 16
+    assert measured_widths(build_example_two(4)) == (8, 16, 8)
+    assert measured_widths(build_example_one(5)) == (8, 16, 8)
 
 
 def test_unpacked_round_trips_the_largest_field_at_every_width():
@@ -495,6 +561,7 @@ def test_frozen_k5_witnesses_are_multiplicative_on_both_kernels():
                 assert len(reduce_to_difference_injective(inst).pairs) == len(digit.pairs) ** n
                 assert wedge_count(inst) == wedge_count(digit) ** n
                 tensor_quads, tensor_collisions = both_paths(inst)
+                measured_widths(inst)
                 assert tensor_quads == {quads**n}
                 assert len(tensor_collisions) == 1
                 if tensor_collisions != {collisions**n}:
