@@ -27,36 +27,38 @@ The ladder counts stream: one forward walk over the sorted pairs of G
 numbers its rows, and count_linked_quads and count_skew_collisions run the
 fiber-sum recursion of chain_count_dp directly over them, so no wedge or
 label tuple is built.  Each pair (a, b) appends to a's row the index of b
-in the sorted B, so partner ids keep value order, and the id of its label
-a + k*b (k = 1 for the quads, 2 for the collisions), reduced once and
-numbered on first sight.  For a verify_* ladder the walk also keeps only
-the first pair of each difference a - b, the lex-smallest one, which is
-the pair reduce_to_difference_injective keeps, and the 7/4 ladder collects
-the sums a + b as well.  #C or #D is the number of label ids and #A and #B
-are the instance's own sets, so the hypotheses, the wedge cap and the
-kernel rule read their sizes off the walk, in that order, before any
-table is allocated.  Each fiber table is indexed by a label id and counts
-the second coordinate of the label.  The rule picks the table's form:
-packed dense rows over the label and partner ids, or int-keyed dicts
-holding at most one entry per wedge.  A packed row is one int with a
-fixed-width field per label or partner id, so a pair (a, b) adds a row's
-whole indicator with one big-int add, and each table is unpacked once,
-through int.to_bytes: an 8-bit row stays one bytes object, which reads
-each field back as an int, and wider rows become lists through one
-memoryview.cast of the whole table.  The dense quads are the sum over
-first wedges (a, b, b2) of c1[a+b][a+b2] * F3[b][b2], where F3[b] sums
-n3[a+b] & mask(partners of a) over the a with (a, b) in G.  A field is the
-narrowest of 8, 16, 32 or 64 bits that holds a bound the rows prove: c1
-and n3 fields count at most the largest sum fiber (a row meets a sum at
-one partner at most), F3 fields at most that fiber times the largest
-partner column degree, and collision fields at most the largest skew
-fiber, which counts pairs because a+2b repeats within a row mod an even
-m.  One C-level count over the numbered rows measures these fibers, and
-only when their averages and their coarse bounds, #rows, #rows^2 and #G,
-give different widths, so no field is wider than its coarse bound; a
-relation that fits no width takes the sparse path.  The quads go dense
-while #C^2 + #C*#B + #B^2 <= 12 * wedges; up to that ratio the dense
-tracemalloc peak stays at or below the sparse one.  The collisions go
+in the sorted B and the id of its label a + k*b (k = 1 for the quads, 2
+for the collisions), reduced once and numbered on first sight; no kernel
+reads the order of either id.  For a verify_* ladder the walk also keeps
+only the first pair of each difference a - b, the lex-smallest one, which
+is the pair reduce_to_difference_injective keeps, and the 7/4 ladder
+collects the sums a + b as well.  #C or #D is the number of label ids and
+#A and #B are the instance's own sets, so the hypotheses, the wedge cap
+and the kernel rule read their sizes off the walk, in that order, before
+any table is allocated.  Each fiber table is indexed by a label id and
+counts the second coordinate of the label.  The rule picks the table's
+form: packed dense rows over the label and partner ids, or int-keyed
+dicts holding at most one entry per wedge.  A packed row is one int with
+a fixed-width field per label or partner id, so a pair (a, b) adds a
+row's whole indicator with one big-int add, and each table is unpacked
+once, through int.to_bytes: an 8-bit row stays one bytes object, which
+reads each field back as an int, and wider rows become lists through one
+memoryview.cast of the whole table.  The quads are one recursion on
+either form: F3[b][b2] sums n3[a+b][b2] over the wedges (a, b, b2), on
+packed rows as n3[a+b] & mask(partners of a) over the a with (a, b) in G,
+and one shared last step sums c1[a+b][a+b2] * F3[b][b2] over the first
+wedges (a, b, b2).  A field is the narrowest of 8, 16, 32 or 64 bits
+that holds a bound the rows prove: c1 and n3 fields count at most the
+largest sum fiber (a row meets a sum at one partner at most), F3 fields
+at most that fiber times the largest partner column degree, and
+collision fields at most the largest skew fiber, which counts pairs
+because a+2b repeats within a row mod an even m.  One C-level count over
+the numbered rows measures these fibers, and only when their averages
+and their coarse bounds, #rows, #rows^2 and #G, give different widths,
+so no field is wider than its coarse bound; a relation that fits no
+width takes the sparse path.  The quads go dense while
+#C^2 + #C*#B + #B^2 <= 12 * wedges; up to that ratio the dense
+tracemalloc peak stays below half the sparse one.  The collisions go
 dense while #D*#B + 2 * #G < 3 * wedges, a rule fitted to the two kernels'
 times on small random walks, which charges the dense kernel's work per
 slot and per pair.  linked_quad_problem and skew_collision_problem build
@@ -160,9 +162,9 @@ def _id_rows(inst: Instance, k: int, one_per_difference: bool) -> _IdRows:
     With one_per_difference a pair is skipped when an earlier pair has its
     difference a - b, so each difference keeps its lex-smallest pair, the
     one reduce_to_difference_injective keeps.  A kept pair (a, b) appends
-    to a's row the index of b in the sorted B, so partner ids keep value
-    order, and the id of its label a + k*b, reduced once and numbered on
-    first sight.  For k != 1 the walk also counts the distinct sums a + b.
+    to a's row the index of b in the sorted B and the id of its label
+    a + k*b, reduced once and numbered on first sight.  For k != 1 the walk
+    also counts the distinct sums a + b.
     """
     m = inst.group.modulus
     partner_id = {b: i for i, b in enumerate(inst.b_set)}
@@ -301,14 +303,12 @@ def count_linked_quads(inst: Instance) -> int:
     partners b2, so they hold the fiber sizes of (a+b, a+b2) and (a+b, b2).
     A first wedge (a, b, b2) heads c1[a+b][a+b2] chains into the label
     (b, b2), and a third wedge (a, b, b2) starts n3[a+b][b2] last wedges.
-    The sparse tables sum c1 into c2[b][b2] over the unordered partner pairs
-    of each row, mirror it (c1 is symmetric under swapping b and b2, so c2
-    is too) and end with one dot product of c2[b] and n3[a+b] per pair
-    (a, b).  The dense tables are packed rows: F3[b][b2] sums n3[a+b][b2]
-    over the a with (a, b) and (a, b2) in G, at one AND with a's row mask
-    and one add per pair, and the count is one dot product of c1[a+b] and
-    F3[b] per pair (a, b).  Fields are 8 to 64 bits wide, sized as the
-    module docstring says.  The form is picked by the rule there too.
+    F3[b][b2] sums n3[a+b][b2] over the a with (a, b) and (a, b2) in G, and
+    the count is one dot product of c1[a+b] and F3[b] per pair (a, b).  The
+    tables are int-keyed dicts or packed rows, which build F3 at one AND
+    with a's row mask and one add per pair, with fields 8 to 64 bits wide,
+    sized as the module docstring says; the rule there picks the form, and
+    both forms share the last step.
     """
     walk = _id_rows(inst, 1, one_per_difference=False)
     _check_cap(walk.wedges, DEFAULT_WEDGE_CAP)
@@ -317,16 +317,16 @@ def count_linked_quads(inst: Instance) -> int:
 
 def _linked_quads(walk: _IdRows) -> int:
     c_size, b_size = walk.labels, walk.partners
-    # at 12 slots per wedge the dense and sparse tracemalloc peaks meet
+    # up to 12 slots per wedge the dense tracemalloc peak stays below 0.42 of
+    # the sparse one; on one-sum matchings the two meet near 145 slots per wedge
     if c_size * c_size + c_size * b_size + b_size * b_size <= 12 * walk.wedges:
         return _linked_quads_dense(walk)
     return _linked_quads_sparse(walk)
 
 
 def _linked_quads_dense(walk: _IdRows) -> int:
-    """Sum over first wedges (a, b, b2) of c1[a+b][a+b2] * F3[b][b2], on
-    packed rows: F3[b][b2] counts the last wedges of the third wedges
-    (a', b, b2) that the first wedge's chains reach."""
+    """The quads on packed rows: F3[b][b2] counts the last wedges of the
+    third wedges (a', b, b2) that a first wedge's chains reach."""
     rows, n_c, n_b = walk.rows, walk.labels, walk.partners
     first, wide = _quad_widths(walk)
     if wide is None:
@@ -345,8 +345,31 @@ def _linked_quads_dense(walk: _IdRows) -> int:
         for b, s in zip(ys, sums):
             f3[b] += n3[s] & mask
     del n3, masks
-    c1 = _unpacked(c1, n_c, first)
-    f3 = _unpacked(f3, n_b, wide)
+    return _first_wedges(rows, _unpacked(c1, n_c, first), _unpacked(f3, n_b, wide))
+
+
+def _linked_quads_sparse(walk: _IdRows) -> int:
+    """The quads on int-keyed dicts, by the same recursion as the dense kernel."""
+    rows = walk.rows
+    c1, n3, f3 = defaultdict(dict), defaultdict(dict), defaultdict(dict)
+    for ys, sums in rows:
+        for s in sums:
+            sum_fiber, partner_fiber = c1[s], n3[s]
+            for b2, t in zip(ys, sums):
+                sum_fiber[t] = sum_fiber.get(t, 0) + 1
+                partner_fiber[b2] = partner_fiber.get(b2, 0) + 1
+    for ys, sums in rows:
+        for b, s in zip(ys, sums):
+            fiber, head = n3[s], f3[b]
+            for b2 in ys:
+                head[b2] = head.get(b2, 0) + fiber[b2]
+    return _first_wedges(rows, c1, f3)
+
+
+def _first_wedges(rows: _Rows, c1, f3) -> int:
+    """Sum over first wedges (a, b, b2) of c1[a+b][a+b2] * F3[b][b2]: one
+    gather and one dot product per pair (a, b), on rows of bytes, int lists
+    or dicts, which all hold every key a wedge of the rows reads."""
     quads = 0
     for ys, sums in rows:
         if len(ys) == 1:  # itemgetter of one index returns no tuple
@@ -355,37 +378,6 @@ def _linked_quads_dense(walk: _IdRows) -> int:
         at_sums, at_partners = operator.itemgetter(*sums), operator.itemgetter(*ys)
         for b, s in zip(ys, sums):
             quads += sum(map(operator.mul, at_sums(c1[s]), at_partners(f3[b])))
-    return quads
-
-
-def _linked_quads_sparse(walk: _IdRows) -> int:
-    rows = walk.rows
-    c1, n3, c2 = defaultdict(dict), defaultdict(dict), defaultdict(dict)
-    for ys, sums in rows:
-        for s in sums:
-            sum_fiber, partner_fiber = c1[s], n3[s]
-            for b2, t in zip(ys, sums):
-                sum_fiber[t] = sum_fiber.get(t, 0) + 1
-                partner_fiber[b2] = partner_fiber.get(b2, 0) + 1
-    for ys, sums in rows:  # partner ids rise along a row, so b <= b2 below
-        for i, (b, s) in enumerate(zip(ys, sums)):
-            fiber, head = c1[s], c2[b]
-            for b2, t in zip(ys[i:], sums[i:]):
-                head[b2] = head.get(b2, 0) + fiber[t]
-    for b, head in c2.items():  # every partner b2 is already a key of c2
-        for b2, weight in head.items():
-            if b2 > b:
-                c2[b2][b] = weight
-    return _last_wedges(rows, n3, c2)
-
-
-def _last_wedges(rows: _Rows, n3, c2) -> int:
-    """Sum over third wedges (a, b, b2) of c2[b][b2] * n3[a+b][b2]."""
-    quads = 0
-    for ys, sums in rows:
-        for b, s in zip(ys, sums):
-            last, heads = n3[s].__getitem__, c2[b].__getitem__
-            quads += sum(map(operator.mul, map(last, ys), map(heads, ys)))
     return quads
 
 

@@ -430,6 +430,26 @@ def test_dense_and_sparse_paths_edge_shapes():
         checked_both_paths(path)
 
 
+def test_quad_kernels_ignore_the_numbering_of_partner_ids():
+    """Both quad kernels count the same under any renumbering of the partner
+    ids, so neither leans on ids rising along a row."""
+    rng = random.Random(83)
+    draws = [build_example_two(2)] + [random_instance(rng, max_side=8) for _ in range(100)]
+    multi = 0
+    for inst in draws:
+        quads = chain_count_dp(linked_quad_problem(inst))
+        walk = proofs._id_rows(inst, 1, one_per_difference=False)
+        renumber = list(range(walk.partners))
+        rng.shuffle(renumber)
+        shuffled = walk._replace(
+            rows=[([renumber[b] for b in ys], sums) for ys, sums in walk.rows]
+        )
+        multi += any(len(ys) > 1 for ys, _ in walk.rows)
+        for kernel in (proofs._linked_quads_dense, proofs._linked_quads_sparse):
+            assert kernel(walk) == kernel(shuffled) == quads
+    assert multi > 50
+
+
 def measured_widths(inst: Instance) -> tuple[int | None, int | None, int | None]:
     """The c1, F3 and collision field widths the dense kernels take, once
     each is checked to hold the largest sum fiber, that fiber times the
