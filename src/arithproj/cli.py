@@ -307,12 +307,8 @@ def _cmd_dimensions(args: argparse.Namespace) -> int:
         reports.append(doc)
         rows.append(
             {
-                "dimension": doc["dimension"],
-                "minkowski": _fraction_text(doc["minkowski"]),
-                "hausdorff": _fraction_text(doc["hausdorff"]),
-                "wolff": _fraction_text(doc["wolff"]),
-                "best_minkowski": doc["best_minkowski"],
-                "best_hausdorff": doc["best_hausdorff"],
+                key: _fraction_text(value) if isinstance(value, dict) else value
+                for key, value in doc.items()
             }
         )
     _emit(args.output, {"reports": reports}, rows)

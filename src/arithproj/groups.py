@@ -36,10 +36,6 @@ class AmbientGroup:
     def integers_mod(cls, modulus: int) -> "AmbientGroup":
         return cls(modulus)
 
-    @property
-    def is_modular(self) -> bool:
-        return self.modulus is not None
-
     def canon(self, x: int) -> int:
         if self.modulus is None:
             return x
@@ -52,9 +48,6 @@ class AmbientGroup:
 
     def add(self, x: int, y: int) -> int:
         return self.canon(x + y)
-
-    def neg(self, x: int) -> int:
-        return self.canon(-x)
 
     def sub(self, x: int, y: int) -> int:
         return self.canon(x - y)

@@ -125,13 +125,6 @@ class Instance:
         inst.__dict__.update(group=group, a_set=a_set, b_set=b_set, pairs=pairs)
         return inst
 
-    def _with_subrelation(self, pairs: tuple[tuple[int, int], ...]) -> "Instance":
-        """This instance with G replaced by pairs, a sorted subset of G.
-
-        A subset of a validated relation needs no check.
-        """
-        return self._unchecked(self.group, self.a_set, self.b_set, pairs)
-
     def partners(self) -> dict[int, tuple[int, ...]]:
         """For each a, the sorted tuple of b with (a, b) in G."""
         out: dict[int, list[int]] = {}
@@ -258,4 +251,5 @@ def reduce_to_difference_injective(inst: Instance) -> Instance:
         kept = {(x - y) % m: (x, y) for x, y in reversed(inst.pairs)}
     if len(kept) == len(inst.pairs):
         return inst
-    return inst._with_subrelation(tuple(sorted(kept.values())))
+    # a sorted subset of a validated relation needs no check
+    return Instance._unchecked(inst.group, inst.a_set, inst.b_set, tuple(sorted(kept.values())))

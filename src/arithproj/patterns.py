@@ -47,9 +47,7 @@ class DigitPattern:
             if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
                 raise ValueError(f"pattern pair {pair!r} is not a 2-sequence")
             x, y = pair
-            if isinstance(x, bool) or isinstance(y, bool):
-                raise ValueError("pattern entries must be ints")
-            if not (isinstance(x, int) and isinstance(y, int)):
+            if not all(isinstance(v, int) and not isinstance(v, bool) for v in (x, y)):
                 raise ValueError("pattern entries must be ints")
             if x < 0 or y < 0:
                 raise ValueError(f"pattern entries must be nonnegative, got {pair}")

@@ -36,15 +36,20 @@ collects the sums a + b as well.  #C or #D is the number of label ids and
 #A and #B are the instance's own sets, so the hypotheses, the wedge cap
 and the kernel rule read their sizes off the walk, in that order, before
 any table is allocated.  Each fiber table is indexed by a label id and
-counts the second coordinate of the label.  The rule picks the table's
-form: packed dense rows over the label and partner ids, or int-keyed
-dicts holding at most one entry per wedge.  A packed row is one int with
-a fixed-width field per label or partner id, so a pair (a, b) adds a
-row's whole indicator with one big-int add, and each table is unpacked
-once, through int.to_bytes: an 8-bit row stays one bytes object, which
-reads each field back as an int, and wider rows become lists through one
-memoryview.cast of the whole table.  The quads are one recursion on
-either form: F3[b][b2] sums n3[a+b][b2] over the wedges (a, b, b2), on
+counts the second coordinate of the label, and each count picks its
+table form once, by its rule: packed dense rows over the label and
+partner ids, or int-keyed dicts holding at most one entry per wedge.
+Two builders fill every table: _packed_fibers adds a row's packed
+indicator into table[s] once per label id s of the row, and hands the
+indicators back for the quads' row masks, and _dict_fibers does the same
+on dicts.  A packed row is one int with a fixed-width field
+per label or partner id, so a pair (a, b) adds a row's whole indicator
+with one big-int add, and each table is unpacked once, through
+int.to_bytes: an 8-bit row stays one bytes object, which reads each field
+back as an int, and wider rows become lists through one memoryview.cast
+of the whole table.  Each count is one kernel over either form.  The
+collisions sum the squares of the skew fibers.  The quads are one
+recursion: F3[b][b2] sums n3[a+b][b2] over the wedges (a, b, b2), on
 packed rows as n3[a+b] & mask(partners of a) over the a with (a, b) in G,
 and one shared last step sums c1[a+b][a+b2] * F3[b][b2] over the first
 wedges (a, b, b2).  A field is the narrowest of 8, 16, 32 or 64 bits
@@ -55,8 +60,8 @@ collision fields at most the largest skew fiber, which counts pairs
 because a+2b repeats within a row mod an even m.  One C-level count over
 the numbered rows measures these fibers, and only when their averages
 and their coarse bounds, #rows, #rows^2 and #G, give different widths,
-so no field is wider than its coarse bound; a relation that fits no
-width takes the sparse path.  The quads go dense while
+so no field is wider than its coarse bound, which passes 64 bits only
+at 2^32 rows, where _field_width raises.  The quads go dense while
 #C^2 + #C*#B + #B^2 <= 12 * wedges; up to that ratio the dense
 tracemalloc peak stays below half the sparse one.  The collisions go
 dense while #D*#B + 2 * #G < 3 * wedges, a rule fitted to the two kernels'
@@ -204,12 +209,13 @@ def _id_rows(inst: Instance, k: int, one_per_difference: bool) -> _IdRows:
 _CAST_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
-def _field_width(largest: int) -> int | None:
-    """The narrowest field width that holds largest, or None past 64 bits."""
+def _field_width(largest: int) -> int:
+    """The narrowest field width that holds largest.  A field holds at most
+    #rows^2 or #G, so past 64 bits the relation would have 2^32 rows."""
     for width in _CAST_CODES:
         if largest >> width == 0:
             return width
-    return None
+    raise OverflowError(f"{largest} needs a field wider than 64 bits")
 
 
 def _largest_fiber(ids: Iterable[Sequence[int]]) -> int:
@@ -217,7 +223,7 @@ def _largest_fiber(ids: Iterable[Sequence[int]]) -> int:
     return max(Counter(chain.from_iterable(ids)).values(), default=0)
 
 
-def _quad_widths(walk: _IdRows) -> tuple[int | None, int | None]:
+def _quad_widths(walk: _IdRows) -> tuple[int, int]:
     """The c1 and the n3 and F3 field widths, by the module docstring's
     bounds: the largest sum fiber and column degree lie between their
     averages over the #C sums and #B partners and #rows, so the rows are
@@ -234,7 +240,7 @@ def _quad_widths(walk: _IdRows) -> tuple[int | None, int | None]:
     return widths
 
 
-def _collision_width(walk: _IdRows) -> int | None:
+def _collision_width(walk: _IdRows) -> int:
     """The skew fiber field width, by the module docstring's bound: the
     largest skew fiber lies between its average over the #D labels and #G,
     so the rows are counted only when those ends give different widths."""
@@ -250,6 +256,35 @@ def _packed(ids: Sequence[int], width: int) -> int:
     for i in ids:
         row |= 1 << (i * width)
     return row
+
+
+def _packed_fibers(
+    rows: _Rows, size: int, column: int, width: int
+) -> tuple[list[int], list[int]]:
+    """table[s] for s < size: the sum, over the rows and each label id s of
+    the row, of the packed indicator of the row's column (0 for partner ids,
+    1 for label ids), in fields of width bits; and each row's indicator, in
+    row order."""
+    table, indicators = [0] * size, []
+    for row in rows:
+        packed = _packed(row[column], width)
+        for s in row[1]:
+            table[s] += packed
+        indicators.append(packed)
+    return table, indicators
+
+
+def _dict_fibers(rows: _Rows, column: int) -> defaultdict[int, dict[int, int]]:
+    """The table _packed_fibers builds, as int-keyed dicts: table[s][i]
+    counts the row entries i of the column over the rows with label id s."""
+    table = defaultdict(dict)
+    for row in rows:
+        ids = row[column]
+        for s in row[1]:
+            fiber = table[s]
+            for i in ids:
+                fiber[i] = fiber.get(i, 0) + 1
+    return table
 
 
 def _unpacked(table: list[int], fields: int, width: int) -> list[bytes] | list[list[int]]:
@@ -305,10 +340,12 @@ def count_linked_quads(inst: Instance) -> int:
     (b, b2), and a third wedge (a, b, b2) starts n3[a+b][b2] last wedges.
     F3[b][b2] sums n3[a+b][b2] over the a with (a, b) and (a, b2) in G, and
     the count is one dot product of c1[a+b] and F3[b] per pair (a, b).  The
-    tables are int-keyed dicts or packed rows, which build F3 at one AND
-    with a's row mask and one add per pair, with fields 8 to 64 bits wide,
-    sized as the module docstring says; the rule there picks the form, and
-    both forms share the last step.
+    rule in the module docstring picks the form once: c1 and n3 come from
+    _packed_fibers, with fields 8 to 64 bits wide sized as the module
+    docstring says, and F3 takes one AND with a's row mask (the row's n3
+    indicator with every field full) and one add per pair, or all three are
+    int-keyed dicts, c1 and n3 from _dict_fibers.
+    Both forms share the last step.
     """
     walk = _id_rows(inst, 1, one_per_difference=False)
     _check_cap(walk.wedges, DEFAULT_WEDGE_CAP)
@@ -316,48 +353,23 @@ def count_linked_quads(inst: Instance) -> int:
 
 
 def _linked_quads(walk: _IdRows) -> int:
-    c_size, b_size = walk.labels, walk.partners
+    rows, c_size, b_size = walk.rows, walk.labels, walk.partners
     # up to 12 slots per wedge the dense tracemalloc peak stays below 0.42 of
     # the sparse one; on one-sum matchings the two meet near 145 slots per wedge
     if c_size * c_size + c_size * b_size + b_size * b_size <= 12 * walk.wedges:
-        return _linked_quads_dense(walk)
-    return _linked_quads_sparse(walk)
-
-
-def _linked_quads_dense(walk: _IdRows) -> int:
-    """The quads on packed rows: F3[b][b2] counts the last wedges of the
-    third wedges (a', b, b2) that a first wedge's chains reach."""
-    rows, n_c, n_b = walk.rows, walk.labels, walk.partners
-    first, wide = _quad_widths(walk)
-    if wide is None:
-        return _linked_quads_sparse(walk)
-    c1, n3 = [0] * n_c, [0] * n_c  # n3 has F3's width, so its fields add into F3
-    masks = []
-    full = (1 << wide) - 1
-    for ys, sums in rows:
-        row_sums, row_partners = _packed(sums, first), _packed(ys, wide)
-        for s in sums:
-            c1[s] += row_sums
-            n3[s] += row_partners
-        masks.append(row_partners * full)
-    f3 = [0] * n_b
-    for (ys, sums), mask in zip(rows, masks):
-        for b, s in zip(ys, sums):
-            f3[b] += n3[s] & mask
-    del n3, masks
-    return _first_wedges(rows, _unpacked(c1, n_c, first), _unpacked(f3, n_b, wide))
-
-
-def _linked_quads_sparse(walk: _IdRows) -> int:
-    """The quads on int-keyed dicts, by the same recursion as the dense kernel."""
-    rows = walk.rows
-    c1, n3, f3 = defaultdict(dict), defaultdict(dict), defaultdict(dict)
-    for ys, sums in rows:
-        for s in sums:
-            sum_fiber, partner_fiber = c1[s], n3[s]
-            for b2, t in zip(ys, sums):
-                sum_fiber[t] = sum_fiber.get(t, 0) + 1
-                partner_fiber[b2] = partner_fiber.get(b2, 0) + 1
+        first, wide = _quad_widths(walk)
+        c1 = _packed_fibers(rows, c_size, 1, first)[0]
+        # F3's width, so n3's fields add into F3
+        n3, partners = _packed_fibers(rows, c_size, 0, wide)
+        full = (1 << wide) - 1
+        f3 = [0] * b_size
+        for (ys, sums), row in zip(rows, partners):
+            mask = row * full
+            for b, s in zip(ys, sums):
+                f3[b] += n3[s] & mask
+        del n3, partners
+        return _first_wedges(rows, _unpacked(c1, c_size, first), _unpacked(f3, b_size, wide))
+    c1, n3, f3 = _dict_fibers(rows, 1), _dict_fibers(rows, 0), defaultdict(dict)
     for ys, sums in rows:
         for b, s in zip(ys, sums):
             fiber, head = n3[s], f3[b]
@@ -397,10 +409,11 @@ def count_skew_collisions(inst: Instance) -> int:
     """Ordered wedge pairs sharing (a+2b, b2): the sum of squared fiber sizes.
 
     fibers[a+2b] counts the row's partners b2 over the numbered rows of one
-    walk over G, whose labels are the skew sums a+2b, dense or sparse by
-    the rule in the module docstring.  A dense fiber is one packed int with
-    a field per partner of up to the largest skew fiber, which counts pairs,
-    not rows, since a+2b repeats within a row mod an even m.
+    walk over G, whose labels are the skew sums a+2b, built by
+    _packed_fibers or _dict_fibers as the rule in the module docstring
+    picks.  A packed fiber is one int with a field per partner of up to the
+    largest skew fiber, which counts pairs, not rows, since a+2b repeats
+    within a row mod an even m.
     """
     walk = _id_rows(inst, 2, one_per_difference=False)
     _check_cap(walk.wedges, DEFAULT_WEDGE_CAP)
@@ -411,36 +424,17 @@ def _skew_collisions(walk: _IdRows) -> int:
     # fitted to per-walk kernel timings: a dense slot costs what the dense
     # table saves on a third of a wedge, and a dense pair on two thirds
     if walk.labels * walk.partners + 2 * walk.pairs < 3 * walk.wedges:
-        return _skew_collisions_dense(walk)
-    return _skew_collisions_sparse(walk)
-
-
-def _skew_collisions_dense(walk: _IdRows) -> int:
-    width = _collision_width(walk)
-    if width is None:
-        return _skew_collisions_sparse(walk)
-    fibers = [0] * walk.labels
-    for ys, labels in walk.rows:
-        row_partners = _packed(ys, width)
-        for d in labels:
-            fibers[d] += row_partners
-    size, code = walk.partners * width // 8, _CAST_CODES[width]
-    collisions = 0
-    for fiber in fibers:  # one fiber's bytes at a time; the order of fields is moot
-        sizes = fiber.to_bytes(size, sys.byteorder)
-        if width != 8:  # 8-bit fields read straight off the bytes
-            sizes = memoryview(sizes).cast(code)
-        collisions += sum(map(operator.mul, sizes, sizes))
-    return collisions
-
-
-def _skew_collisions_sparse(walk: _IdRows) -> int:
-    fibers = defaultdict(dict)
-    for ys, labels in walk.rows:
-        for d in labels:
-            fiber = fibers[d]
-            for b2 in ys:
-                fiber[b2] = fiber.get(b2, 0) + 1
+        width = _collision_width(walk)
+        size, code = walk.partners * width // 8, _CAST_CODES[width]
+        collisions = 0
+        # one fiber's bytes at a time; the order of fields is moot
+        for fiber in _packed_fibers(walk.rows, walk.labels, 0, width)[0]:
+            sizes = fiber.to_bytes(size, sys.byteorder)
+            if width != 8:  # 8-bit fields read straight off the bytes
+                sizes = memoryview(sizes).cast(code)
+            collisions += sum(map(operator.mul, sizes, sizes))
+        return collisions
+    fibers = _dict_fibers(walk.rows, 0)
     return sum(n * n for fiber in fibers.values() for n in fiber.values())
 
 

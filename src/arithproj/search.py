@@ -458,9 +458,6 @@ class CertificationReport:
     ok: bool
     diagnostics: tuple[str, ...]
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def certify(result: SearchResult, spec: SearchSpec) -> CertificationReport:
     """Recheck every witness from scratch.

@@ -219,7 +219,7 @@ def test_reduce_builds_the_validated_instance():
         )
         assert reduced == validated and hash(reduced) == hash(validated)
         assert reduce_to_difference_injective(reduced) is reduced
-        modular += inst.group.is_modular
+        modular += inst.group.modulus is not None
         dropped += reduced is not inst
     # both group kinds, and enough dropped pairs to exercise the fast path
     assert modular > 800 and dropped > 800
@@ -233,8 +233,8 @@ def test_random_instance_shape():
         assert 1 <= len(inst.a_set) <= 6
         assert 1 <= len(inst.b_set) <= 6
         assert all(a in set(inst.a_set) and b in set(inst.b_set) for a, b in inst.pairs)
-        saw_modular = saw_modular or inst.group.is_modular
-        saw_integers = saw_integers or not inst.group.is_modular
+        saw_modular = saw_modular or inst.group.modulus is not None
+        saw_integers = saw_integers or inst.group.modulus is None
         saw_empty = saw_empty or not inst.pairs
     assert saw_modular and saw_integers and saw_empty
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
 from collections import Counter
@@ -155,7 +156,7 @@ def test_streaming_counts_match_chain_problems():
     modular = 0
     for _ in range(240):
         inst = reduce_to_difference_injective(random_instance(rng, max_side=8))
-        modular += inst.group.is_modular
+        modular += inst.group.modulus is not None
         assert count_linked_quads(inst) == chain_count_dp(linked_quad_problem(inst))
         assert count_skew_collisions(inst) == chain_count_dp(
             skew_collision_problem(inst)
@@ -177,7 +178,7 @@ def test_streaming_counts_match_chain_problems_unreduced():
     saw_wrapped_row = saw_not_injective = False
     for inst in draws:
         g = inst.group
-        kinds.add(g.is_modular)
+        kinds.add(g.modulus is not None)
         saw_not_injective = saw_not_injective or not is_difference_injective(inst)
         for a, ys in inst.partners().items():
             sums = [g.add(a, b) for b in ys]
@@ -215,7 +216,7 @@ def test_streaming_counts_match_chain_problems_dense_rows():
     longest_row = 0
     for _ in range(40):
         raw = random_instance(rng, max_side=20)
-        kinds.add(raw.group.is_modular)
+        kinds.add(raw.group.modulus is not None)
         longest_row = max([longest_row] + [len(ys) for ys in raw.partners().values()])
         for inst in (raw, reduce_to_difference_injective(raw)):
             assert count_linked_quads(inst) == chain_count_dp(linked_quad_problem(inst))
@@ -343,7 +344,7 @@ def test_ladders_match_the_public_preparation():
     for inst in draws:
         reduced = reduce_to_difference_injective(inst)
         dropped += reduced is not inst
-        groups.add(inst.group.is_modular)
+        groups.add(inst.group.modulus is not None)
         wedges = wedge_count(reduced)
         for verify, with_d in ((verify_three_slice_chain, False), (verify_four_slice_chain, True)):
             sizes = slice_sizes(reduced, with_d=with_d)
@@ -367,18 +368,58 @@ def test_ladders_match_the_public_preparation():
             verify(ex1, 6, cap=wedge_count(ex1) - 1)
 
 
+# the rules are the only readers of walk.wedges, so a walk that claims no
+# wedges takes dict tables and one that claims 10**18 takes packed rows
+FORCED_WEDGES = {0: "dict", 10**18: "packed"}
+
+
+@contextlib.contextmanager
+def recorded_forms():
+    """The table form of each builder call made inside the block, in order."""
+    picked = []
+    with pytest.MonkeyPatch.context() as patch:
+        for form, name in (("packed", "_packed_fibers"), ("dict", "_dict_fibers")):
+            build = getattr(proofs, name)
+            patch.setattr(
+                proofs, name, lambda *args, _f=form, _b=build: picked.append(_f) or _b(*args)
+            )
+        yield picked
+
+
+def forms_taken(*calls) -> list[str]:
+    """The one table form that each call builds all its tables in."""
+    taken = []
+    for call in calls:
+        with recorded_forms() as picked:
+            call()
+        (form,) = set(picked)
+        taken.append(form)
+    return taken
+
+
+def on_both_forms(kernel, walk) -> set[int]:
+    """kernel(walk) with each table form forced, each run checked to build
+    its tables in that form: one value when the forms agree."""
+    values = set()
+    for wedges, form in FORCED_WEDGES.items():
+        with recorded_forms() as picked:
+            values.add(kernel(walk._replace(wedges=wedges)))
+        assert set(picked) == {form}
+    return values
+
+
 def both_paths(inst: Instance) -> tuple[set[int], set[int]]:
-    """Quads and collisions from the dense and the sparse kernels, whatever
-    the rule would pick for inst: one value each when the paths agree."""
+    """Quads and collisions on packed rows and on dict tables, whatever the
+    rule would pick for inst: one value each when the forms agree."""
     walk = proofs._id_rows(inst, 1, one_per_difference=False)
-    quads = {proofs._linked_quads_dense(walk), proofs._linked_quads_sparse(walk)}
+    quads = on_both_forms(proofs._linked_quads, walk)
     walk = proofs._id_rows(inst, 2, one_per_difference=False)
-    collisions = {proofs._skew_collisions_dense(walk), proofs._skew_collisions_sparse(walk)}
+    collisions = on_both_forms(proofs._skew_collisions, walk)
     return quads, collisions
 
 
 def checked_both_paths(inst: Instance) -> tuple[int, int]:
-    """Quads and collisions, once both paths agree with the chain problems."""
+    """Quads and collisions, once both forms agree with the chain problems."""
     quads = chain_count_dp(linked_quad_problem(inst))
     collisions = chain_count_dp(skew_collision_problem(inst))
     assert both_paths(inst) == ({quads}, {collisions})
@@ -400,7 +441,7 @@ def test_dense_and_sparse_paths_match_chain_problems():
     kinds = set()
     for _ in range(200):
         raw = random_instance(rng, max_side=8)
-        kinds.add(raw.group.is_modular)
+        kinds.add(raw.group.modulus is not None)
         checked_both_paths(raw)
         checked_both_paths(reduce_to_difference_injective(raw))
         measured_widths(raw)
@@ -418,21 +459,20 @@ def test_dense_and_sparse_paths_edge_shapes():
     assert checked_both_paths(matching) == (k * k, k)
     # a path: a_i meets b_i and b_(i+1), over Z and wrapping round Z/30
     for group in (Z, AmbientGroup.integers_mod(30)):
-        universe = range(30)
+        universe, rows = range(30), 29 + (group.modulus is not None)
         path = Instance(
             group=group,
             a_set=universe,
             b_set=universe,
-            pairs=tuple(
-                (i, (i + j) % 30) for i in range(29 + group.is_modular) for j in (0, 1)
-            ),
+            pairs=tuple((i, (i + j) % 30) for i in range(rows) for j in (0, 1)),
         )
         checked_both_paths(path)
 
 
 def test_quad_kernels_ignore_the_numbering_of_partner_ids():
-    """Both quad kernels count the same under any renumbering of the partner
-    ids, so neither leans on ids rising along a row."""
+    """The quad kernel counts the same on both table forms under any
+    renumbering of the partner ids, so neither leans on ids rising along a
+    row."""
     rng = random.Random(83)
     draws = [build_example_two(2)] + [random_instance(rng, max_side=8) for _ in range(100)]
     multi = 0
@@ -445,13 +485,13 @@ def test_quad_kernels_ignore_the_numbering_of_partner_ids():
             rows=[([renumber[b] for b in ys], sums) for ys, sums in walk.rows]
         )
         multi += any(len(ys) > 1 for ys, _ in walk.rows)
-        for kernel in (proofs._linked_quads_dense, proofs._linked_quads_sparse):
-            assert kernel(walk) == kernel(shuffled) == quads
+        assert on_both_forms(proofs._linked_quads, walk) == {quads}
+        assert on_both_forms(proofs._linked_quads, shuffled) == {quads}
     assert multi > 50
 
 
-def measured_widths(inst: Instance) -> tuple[int | None, int | None, int | None]:
-    """The c1, F3 and collision field widths the dense kernels take, once
+def measured_widths(inst: Instance) -> tuple[int, int, int]:
+    """The c1, F3 and collision field widths the packed tables take, once
     each is checked to hold the largest sum fiber, that fiber times the
     largest column degree, and the largest skew fiber, counted here over
     the pairs, and to be at most its bound by #rows, #rows^2 or #G."""
@@ -548,7 +588,11 @@ def test_unpacked_round_trips_the_largest_field_at_every_width():
         assert memoryview(bytes(8)).cast(code).itemsize * 8 == width
         largest = (1 << width) - 1
         assert proofs._field_width(largest) == width
-        assert proofs._field_width(largest + 1) == (2 * width if width < 64 else None)
+        if width < 64:
+            assert proofs._field_width(largest + 1) == 2 * width
+        else:
+            with pytest.raises(OverflowError):
+                proofs._field_width(largest + 1)
         table = [largest | largest << (2 * width), 0, largest << (2 * width)]
         rows = proofs._unpacked(table, 3, width)
         # 8-bit rows stay bytes, which read each field back as an int
@@ -562,7 +606,7 @@ def test_unpacked_round_trips_the_largest_field_at_every_width():
 
 def test_frozen_k5_witnesses_are_multiplicative_on_both_kernels():
     """Relation, wedges and quads of every K=5 witness's n-digit tensor are
-    its one-digit values to the n-th power, on both kernels.  Collisions
+    its one-digit values to the n-th power, on both table forms.  Collisions
     are, too, only for the constrained witnesses: min_base keeps the skew
     digits a+2b carry-free only when the pattern tracks D, and two of the
     unconstrained witnesses carry at their min_base (700 and 740
@@ -616,63 +660,50 @@ def test_k7_constrained_optima_hold_both_ladders():
         }
 
 
-def test_dense_rule_reads_the_slice_sizes(monkeypatch):
-    """The tensors the ladder benchmark runs fit their dense tables; a
+def test_dense_rule_reads_the_slice_sizes():
+    """The tensors the ladder benchmark runs fit their packed tables; a
     5,000-pair matching (75M quad slots, 5,000 wedges) does not."""
-    picked = []
-    for name in (
-        "_linked_quads_dense",
-        "_linked_quads_sparse",
-        "_skew_collisions_dense",
-        "_skew_collisions_sparse",
-    ):
-        monkeypatch.setattr(proofs, name, lambda *_, _name=name: picked.append(_name) or 0)
     k = 5000
     matching = Instance(
         group=Z, a_set=range(k), b_set=range(k), pairs=tuple((i, i) for i in range(k))
     )
     ex2 = build_example_two(4)
-    for inst, quads, collisions in (
+    for inst, forms in (
         # example one's skew labels a+2b are all distinct: 7,776 x 243 slots > 12^5 wedges
-        (build_example_one(5), "_linked_quads_dense", "_skew_collisions_sparse"),
-        (ex2, "_linked_quads_dense", "_skew_collisions_dense"),
-        (matching, "_linked_quads_sparse", "_skew_collisions_sparse"),
+        (build_example_one(5), ["packed", "dict"]),
+        (ex2, ["packed", "packed"]),
+        (matching, ["dict", "dict"]),
     ):
-        picked.clear()
-        count_linked_quads(inst)
-        count_skew_collisions(inst)
-        assert picked == [quads, collisions]
+        assert forms_taken(
+            lambda: count_linked_quads(inst), lambda: count_skew_collisions(inst)
+        ) == forms
     # the ladders read the same sizes off their own walk over G
-    picked.clear()
-    verify_three_slice_chain(ex2, 4**4)
-    verify_four_slice_chain(ex2, 4**4)
-    assert picked == ["_linked_quads_dense", "_skew_collisions_dense"]
-    # 18 pairs, 82 wedges: 399 quad slots, under 12 per wedge, go dense;
+    assert forms_taken(
+        lambda: verify_three_slice_chain(ex2, 4**4), lambda: verify_four_slice_chain(ex2, 4**4)
+    ) == ["packed", "packed"]
+    # 18 pairs, 82 wedges: 399 quad slots, under 12 per wedge, go packed;
     # 45 collision slots and the rule's charge per pair, 45 + 2 * 18, stay
-    # under 3 * 82, so the collisions go dense too
+    # under 3 * 82, so the collisions go packed too
     small = reduce_to_difference_injective(random_instance(random.Random(33)))
     sums = proofs._id_rows(small, 1, one_per_difference=False)
     skew = proofs._id_rows(small, 2, one_per_difference=False)
     assert (skew.pairs, skew.wedges) == (18, 82)
     c, d, b = sums.labels, skew.labels, skew.partners
     assert (c * c + c * b + b * b, d * b) == (399, 45)
-    picked.clear()
-    count_linked_quads(small)
-    count_skew_collisions(small)
-    assert picked == ["_linked_quads_dense", "_skew_collisions_dense"]
+    assert forms_taken(
+        lambda: count_linked_quads(small), lambda: count_skew_collisions(small)
+    ) == ["packed", "packed"]
     # one seeded instance on each side of the collision boundary: 10 x 10
     # slots + 2 * 11 pairs is one under 3 * 41 wedges, and 7 x 7 + 2 * 7
     # meets 3 * 21
-    for seed, sizes, kernel in (
-        (687, (10, 10, 11, 41), "_skew_collisions_dense"),
-        (1253, (7, 7, 7, 21), "_skew_collisions_sparse"),
+    for seed, sizes, form in (
+        (687, (10, 10, 11, 41), "packed"),
+        (1253, (7, 7, 7, 21), "dict"),
     ):
         inst = reduce_to_difference_injective(random_instance(random.Random(seed)))
         skew = proofs._id_rows(inst, 2, one_per_difference=False)
         assert (skew.labels, skew.partners, skew.pairs, skew.wedges) == sizes
-        picked.clear()
-        count_skew_collisions(inst)
-        assert picked == [kernel]
+        assert forms_taken(lambda: count_skew_collisions(inst)) == [form]
 
 
 def exhaustive_round_trip(inst: Instance) -> tuple[int, int]:

@@ -617,7 +617,6 @@ def test_certify_rejects_tampering():
     )
     report = certify(forged, spec)
     assert not report.ok
-    assert not bool(report)
     assert any("exponent mismatch" in d for d in report.diagnostics)
 
     outside = SearchResult(
