@@ -42,12 +42,13 @@ partner ids, or int-keyed dicts holding at most one entry per wedge.
 Two builders fill every table: _packed_fibers adds a row's packed
 indicator into table[s] once per label id s of the row, and hands the
 indicators back for the quads' row masks, and _dict_fibers does the same
-on dicts.  A packed row is one int with a fixed-width field
-per label or partner id, so a pair (a, b) adds a row's whole indicator
-with one big-int add, and each table is unpacked once, through
-int.to_bytes: an 8-bit row stays one bytes object, which reads each field
-back as an int, and wider rows become lists through one memoryview.cast
-of the whole table.  Each count is one kernel over either form.  The
+on dicts.  A packed row is one int with a fixed-width field per label or
+partner id, so a pair (a, b) adds a row's whole indicator with one
+big-int add, and _unpacked reads the fields of every packed table back,
+one row at a time, from the row's little-endian bytes: an 8-bit row stays
+one bytes object, which reads each field back as an int, and a wider row
+becomes a tuple through one struct unpack, so no step depends on the
+host's byte order.  Each count is one kernel over either form.  The
 collisions sum the squares of the skew fibers.  The quads are one
 recursion: F3[b][b2] sums n3[a+b][b2] over the wedges (a, b, b2), on
 packed rows as n3[a+b] & mask(partners of a) over the a with (a, b) in G,
@@ -57,11 +58,12 @@ that holds a bound the rows prove: c1 and n3 fields count at most the
 largest sum fiber (a row meets a sum at one partner at most), F3 fields
 at most that fiber times the largest partner column degree, and
 collision fields at most the largest skew fiber, which counts pairs
-because a+2b repeats within a row mod an even m.  One C-level count over
-the numbered rows measures these fibers, and only when their averages
-and their coarse bounds, #rows, #rows^2 and #G, give different widths,
-so no field is wider than its coarse bound, which passes 64 bits only
-at 2^32 rows, where _field_width raises.  The quads go dense while
+because a+2b repeats within a row mod an even m.  _field_width sizes
+every field from its coarse bound, #rows, #rows^2 or #G, and the average
+of its fibers, and measures the fibers, by one C-level count of each id
+column over the numbered rows, only when those two ends give different
+widths, so no field is wider than its coarse bound, which passes 64 bits
+only at 2^32 rows, where _field_width raises.  The quads go dense while
 #C^2 + #C*#B + #B^2 <= 12 * wedges; up to that ratio the dense
 tracemalloc peak stays below half the sparse one.  The collisions go
 dense while #D*#B + 2 * #G < 3 * wedges, a rule fitted to the two kernels'
@@ -73,9 +75,9 @@ the same counts as explicit ChainProblems for cross-checking.
 from __future__ import annotations
 
 import operator
-import sys
+import struct
 from collections import Counter, defaultdict
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -159,6 +161,7 @@ class _IdRows(NamedTuple):
     labels: int  # distinct labels a + k*b: #C for k = 1, #D for k = 2
     sums: int  # distinct sums a + b: #C
     partners: int  # #B, since a partner id indexes the whole sorted B
+    largest: dict[int, int]  # each id column's largest fiber, once counted
 
 
 def _id_rows(inst: Instance, k: int, one_per_difference: bool) -> _IdRows:
@@ -202,52 +205,46 @@ def _id_rows(inst: Instance, k: int, one_per_difference: bool) -> _IdRows:
         labels=len(label_id),
         sums=len(sums) if k != 1 else len(label_id),
         partners=len(partner_id),
+        largest={},
     )
 
 
-# memoryview cast codes of the packed field widths, in bits
-_CAST_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+# struct format codes of the packed field widths, in bits
+_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
-def _field_width(largest: int) -> int:
-    """The narrowest field width that holds largest.  A field holds at most
-    #rows^2 or #G, so past 64 bits the relation would have 2^32 rows."""
-    for width in _CAST_CODES:
-        if largest >> width == 0:
-            return width
-    raise OverflowError(f"{largest} needs a field wider than 64 bits")
+def _field_width(bound: int, walk: _IdRows | None = None, columns: tuple[int, ...] = ()) -> int:
+    """The narrowest of 8, 16, 32 or 64 bits that holds every value up to
+    bound.  Given a walk, the field also holds at most the product of the
+    largest fibers of the given id columns of its rows (0 for partner ids,
+    1 for label ids).  That product lies between bound and the product of
+    the columns' averages over the #B partner ids and the label ids, so the
+    rows are counted only when those two ends give different widths past 8
+    bits, each column at most once per walk.  A coarse bound, #rows,
+    #rows^2 or #G, passes 64 bits only when the relation has 2^32 rows."""
+    width = 8
+    while bound >> width:
+        width *= 2
+    if width > 64:
+        raise OverflowError(f"{bound} needs a field wider than 64 bits")
+    if walk is None or width == 8:  # past 8 bits there are labels to average over
+        return width
+    # loops, not generator expressions, whose cells every call would allocate
+    average = measured = 1
+    for c in columns:
+        average *= -(-walk.pairs // (walk.labels if c else walk.partners))
+    if width == _field_width(average):
+        return width
+    for c in columns:
+        if c not in walk.largest:
+            walk.largest[c] = _largest_fiber(walk.rows, c)
+        measured *= walk.largest[c]
+    return _field_width(measured)
 
 
-def _largest_fiber(ids: Iterable[Sequence[int]]) -> int:
-    """The most times one id occurs in the rows' id lists, by a C-level count."""
-    return max(Counter(chain.from_iterable(ids)).values(), default=0)
-
-
-def _quad_widths(walk: _IdRows) -> tuple[int, int]:
-    """The c1 and the n3 and F3 field widths, by the module docstring's
-    bounds: the largest sum fiber and column degree lie between their
-    averages over the #C sums and #B partners and #rows, so the rows are
-    counted only when those ends give different widths."""
-    rows, pairs = walk.rows, walk.pairs
-    widths = _field_width(len(rows)), _field_width(len(rows) ** 2)
-    if widths[1] == 8:  # so are the averages' widths, and #rows >= 16 below
-        return widths
-    fiber, degree = -(-pairs // walk.labels), -(-pairs // walk.partners)
-    if widths != (_field_width(fiber), _field_width(fiber * degree)):
-        fiber = _largest_fiber(sums for _, sums in rows)
-        degree = _largest_fiber(ys for ys, _ in rows)
-        widths = _field_width(fiber), _field_width(fiber * degree)
-    return widths
-
-
-def _collision_width(walk: _IdRows) -> int:
-    """The skew fiber field width, by the module docstring's bound: the
-    largest skew fiber lies between its average over the #D labels and #G,
-    so the rows are counted only when those ends give different widths."""
-    width = _field_width(walk.pairs)
-    if width != 8 and width != _field_width(-(-walk.pairs // walk.labels)):
-        width = _field_width(_largest_fiber(labels for _, labels in walk.rows))
-    return width
+def _largest_fiber(rows: _Rows, column: int) -> int:
+    """The most times one id occurs in a column of the rows, by a C-level count."""
+    return max(Counter(chain.from_iterable(row[column] for row in rows)).values(), default=0)
 
 
 def _packed(ids: Sequence[int], width: int) -> int:
@@ -287,21 +284,14 @@ def _dict_fibers(rows: _Rows, column: int) -> defaultdict[int, dict[int, int]]:
     return table
 
 
-def _unpacked(table: list[int], fields: int, width: int) -> list[bytes] | list[list[int]]:
-    """Each packed int of table as its first fields fields, lowest bits
-    first: at width 8 one bytes object per row, which reads each field back
-    as an int, and at wider widths lists from one join and one cast for the
-    whole table."""
+def _unpacked(table: Iterable[int], fields: int, width: int) -> Iterator[Sequence[int]]:
+    """Each packed int of table, in turn, as its first fields fields, lowest
+    bits first: its little-endian bytes, which at width 8 read each field
+    back as an int, and at wider widths one struct unpack of them, so the
+    fields come back in the same order on every host."""
     size = fields * width // 8
-    if width == 8:
-        return [row.to_bytes(size, "little") for row in table]
-    data = b"".join([row.to_bytes(size, sys.byteorder) for row in table])
-    view = memoryview(data).cast(_CAST_CODES[width])
-    rows = [view[i * fields : (i + 1) * fields].tolist() for i in range(len(table))]
-    if sys.byteorder == "big":  # to_bytes put each row's highest field first
-        for values in rows:
-            values.reverse()
-    return rows
+    rows = (row.to_bytes(size, "little") for row in table)
+    return rows if width == 8 else map(struct.Struct(f"<{fields}{_CODES[width]}").unpack, rows)
 
 
 def enumerate_wedges(inst: Instance) -> tuple[Wedge, ...]:
@@ -341,10 +331,10 @@ def count_linked_quads(inst: Instance) -> int:
     F3[b][b2] sums n3[a+b][b2] over the a with (a, b) and (a, b2) in G, and
     the count is one dot product of c1[a+b] and F3[b] per pair (a, b).  The
     rule in the module docstring picks the form once: c1 and n3 come from
-    _packed_fibers, with fields 8 to 64 bits wide sized as the module
-    docstring says, and F3 takes one AND with a's row mask (the row's n3
-    indicator with every field full) and one add per pair, or all three are
-    int-keyed dicts, c1 and n3 from _dict_fibers.
+    _packed_fibers, with fields 8 to 64 bits wide that _field_width sizes,
+    and F3 takes one AND with a's row mask (the row's n3 indicator with
+    every field full) and one add per pair, and _unpacked reads c1 and F3
+    back; or all three are int-keyed dicts, c1 and n3 from _dict_fibers.
     Both forms share the last step.
     """
     walk = _id_rows(inst, 1, one_per_difference=False)
@@ -357,7 +347,8 @@ def _linked_quads(walk: _IdRows) -> int:
     # up to 12 slots per wedge the dense tracemalloc peak stays below 0.42 of
     # the sparse one; on one-sum matchings the two meet near 145 slots per wedge
     if c_size * c_size + c_size * b_size + b_size * b_size <= 12 * walk.wedges:
-        first, wide = _quad_widths(walk)
+        first = _field_width(len(rows), walk, (1,))
+        wide = _field_width(len(rows) ** 2, walk, (1, 0))
         c1 = _packed_fibers(rows, c_size, 1, first)[0]
         # F3's width, so n3's fields add into F3
         n3, partners = _packed_fibers(rows, c_size, 0, wide)
@@ -368,7 +359,7 @@ def _linked_quads(walk: _IdRows) -> int:
             for b, s in zip(ys, sums):
                 f3[b] += n3[s] & mask
         del n3, partners
-        return _first_wedges(rows, _unpacked(c1, c_size, first), _unpacked(f3, b_size, wide))
+        return _first_wedges(rows, [*_unpacked(c1, c_size, first)], [*_unpacked(f3, b_size, wide)])
     c1, n3, f3 = _dict_fibers(rows, 1), _dict_fibers(rows, 0), defaultdict(dict)
     for ys, sums in rows:
         for b, s in zip(ys, sums):
@@ -380,7 +371,7 @@ def _linked_quads(walk: _IdRows) -> int:
 
 def _first_wedges(rows: _Rows, c1, f3) -> int:
     """Sum over first wedges (a, b, b2) of c1[a+b][a+b2] * F3[b][b2]: one
-    gather and one dot product per pair (a, b), on rows of bytes, int lists
+    gather and one dot product per pair (a, b), on rows of bytes, int tuples
     or dicts, which all hold every key a wedge of the rows reads."""
     quads = 0
     for ys, sums in rows:
@@ -411,9 +402,10 @@ def count_skew_collisions(inst: Instance) -> int:
     fibers[a+2b] counts the row's partners b2 over the numbered rows of one
     walk over G, whose labels are the skew sums a+2b, built by
     _packed_fibers or _dict_fibers as the rule in the module docstring
-    picks.  A packed fiber is one int with a field per partner of up to the
-    largest skew fiber, which counts pairs, not rows, since a+2b repeats
-    within a row mod an even m.
+    picks.  A packed fiber is one int with a field per partner, sized by
+    _field_width to hold the largest skew fiber, which counts pairs, not
+    rows, since a+2b repeats within a row mod an even m, and _unpacked reads
+    the fibers back one at a time.
     """
     walk = _id_rows(inst, 2, one_per_difference=False)
     _check_cap(walk.wedges, DEFAULT_WEDGE_CAP)
@@ -424,14 +416,11 @@ def _skew_collisions(walk: _IdRows) -> int:
     # fitted to per-walk kernel timings: a dense slot costs what the dense
     # table saves on a third of a wedge, and a dense pair on two thirds
     if walk.labels * walk.partners + 2 * walk.pairs < 3 * walk.wedges:
-        width = _collision_width(walk)
-        size, code = walk.partners * width // 8, _CAST_CODES[width]
+        width = _field_width(walk.pairs, walk, (1,))
+        fibers = _packed_fibers(walk.rows, walk.labels, 0, width)[0]
         collisions = 0
-        # one fiber's bytes at a time; the order of fields is moot
-        for fiber in _packed_fibers(walk.rows, walk.labels, 0, width)[0]:
-            sizes = fiber.to_bytes(size, sys.byteorder)
-            if width != 8:  # 8-bit fields read straight off the bytes
-                sizes = memoryview(sizes).cast(code)
+        # one fiber at a time, so no second table is held
+        for sizes in _unpacked(fibers, walk.partners, width):
             collisions += sum(map(operator.mul, sizes, sizes))
         return collisions
     fibers = _dict_fibers(walk.rows, 0)

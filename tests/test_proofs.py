@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import random
+import struct
 from collections import Counter
 from fractions import Fraction
 
@@ -490,6 +491,18 @@ def test_quad_kernels_ignore_the_numbering_of_partner_ids():
     assert multi > 50
 
 
+@contextlib.contextmanager
+def recorded_widths():
+    """The field width of each packed table built inside the block, in order."""
+    taken = []
+    build = proofs._packed_fibers
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            proofs, "_packed_fibers", lambda *args: taken.append(args[3]) or build(*args)
+        )
+        yield taken
+
+
 def measured_widths(inst: Instance) -> tuple[int, int, int]:
     """The c1, F3 and collision field widths the packed tables take, once
     each is checked to hold the largest sum fiber, that fiber times the
@@ -500,13 +513,18 @@ def measured_widths(inst: Instance) -> tuple[int, int, int]:
     degree = max(Counter(b for _, b in inst.pairs).values(), default=0)
     skew = max(Counter(g.add(a, g.scale(2, b)) for a, b in inst.pairs).values(), default=0)
     rows = len(inst.partners())
-    walk = proofs._id_rows(inst, 1, one_per_difference=False)
-    widths = proofs._quad_widths(walk)
-    assert widths == (width(fiber), width(fiber * degree))
-    assert widths[0] <= width(rows) and widths[1] <= width(rows**2)
-    walk = proofs._id_rows(inst, 2, one_per_difference=False)
-    assert proofs._collision_width(walk) == width(skew) <= width(len(inst.pairs))
-    return *widths, width(skew)
+    # c1, then n3 at F3's width, then the skew fibers, each forced packed
+    widths = []
+    for k, kernel in ((1, proofs._linked_quads), (2, proofs._skew_collisions)):
+        walk = proofs._id_rows(inst, k, one_per_difference=False)
+        with recorded_widths() as taken:
+            kernel(walk._replace(wedges=10**18))
+        widths += taken
+    first, wide, collision = widths
+    assert (first, wide, collision) == (width(fiber), width(fiber * degree), width(skew))
+    assert first <= width(rows) and wide <= width(rows**2)
+    assert collision <= width(len(inst.pairs))
+    return first, wide, collision
 
 
 def test_packed_fields_at_their_width_edges():
@@ -583,9 +601,35 @@ def test_packed_fields_at_their_width_edges():
     assert measured_widths(build_example_one(5)) == (8, 16, 8)
 
 
+def test_field_width_counts_the_rows_only_where_the_ends_differ_past_8_bits():
+    """The fibers are counted only for a field whose coarse bound and
+    average give different widths past 8 bits, and each id column (0 for
+    partner ids, 1 for label ids) at most once per walk.  Example one at
+    n=5 counts nothing: 243 rows keep c1 at 8 bits, and F3's bound 243^2
+    and average 32 * 32 both take 16.  Example two at n=4 counts its sums
+    once for c1 and F3 and its partners for F3, and its skew labels once.
+    The gate only saves time: every width is the same with the rows always
+    counted."""
+    cases = (
+        (build_example_one(5), count_linked_quads, [8, 16], []),
+        (build_example_two(4), count_linked_quads, [8, 16], [1, 0]),
+        (build_example_two(4), count_skew_collisions, [8], [1]),
+    )
+    count = proofs._largest_fiber
+    for inst, kernel, widths, columns in cases:
+        counted = []
+        with pytest.MonkeyPatch.context() as patch, recorded_widths() as taken:
+            patch.setattr(
+                proofs, "_largest_fiber", lambda rows, c: counted.append(c) or count(rows, c)
+            )
+            kernel(inst)
+        assert (taken, counted) == (widths, columns)
+
+
 def test_unpacked_round_trips_the_largest_field_at_every_width():
-    for width, code in proofs._CAST_CODES.items():
-        assert memoryview(bytes(8)).cast(code).itemsize * 8 == width
+    rng = random.Random(97)
+    for width, code in proofs._CODES.items():
+        assert struct.calcsize(f"<{code}") * 8 == width
         largest = (1 << width) - 1
         assert proofs._field_width(largest) == width
         if width < 64:
@@ -594,7 +638,7 @@ def test_unpacked_round_trips_the_largest_field_at_every_width():
             with pytest.raises(OverflowError):
                 proofs._field_width(largest + 1)
         table = [largest | largest << (2 * width), 0, largest << (2 * width)]
-        rows = proofs._unpacked(table, 3, width)
+        rows = list(proofs._unpacked(table, 3, width))
         # 8-bit rows stay bytes, which read each field back as an int
         assert all(isinstance(row, bytes) == (width == 8) for row in rows)
         assert [list(row) for row in rows] == [
@@ -602,6 +646,14 @@ def test_unpacked_round_trips_the_largest_field_at_every_width():
             [0, 0, 0],
             [0, 0, largest],
         ]
+        # seeded random tables and full rows of 1 to 40 fields, read back
+        # here by shift and mask
+        for fields in range(1, 41):
+            table = [rng.getrandbits(fields * width) for _ in range(3)]
+            table.append((1 << (fields * width)) - 1)
+            assert [list(row) for row in proofs._unpacked(table, fields, width)] == [
+                [row >> (i * width) & largest for i in range(fields)] for row in table
+            ]
 
 
 def test_frozen_k5_witnesses_are_multiplicative_on_both_kernels():
