@@ -7,14 +7,17 @@ Three bound families in ambient dimension n >= 2:
 * wolff:     (n + 2) / 2, the prior benchmark for both notions.
 
 The first two follow from the additive projection machinery in this
-package: each is (n - 1) / alpha + 1 for the exponent alpha of the matching
-ladder in proofs (7/4 and 11/6).  The benchmark is listed so callers can
-see exactly where each new bound starts to win.
+package by one rule: a ladder exponent alpha gives the bound
+(n - 1) / alpha + 1.  One table maps each such bound's name to its
+exponent in proofs: minkowski to 7/4, hausdorff to 11/6.  The report, its
+winners and the thresholds all iterate that table, so a new proven bound
+is one more entry, plus its two DimensionReport fields.  The benchmark is
+listed so callers can see exactly where each new bound starts to win.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .errors import InvalidDimension
@@ -29,22 +32,30 @@ __all__ = [
     "wolff_bound",
 ]
 
+# each slice bound's ladder exponent, keyed by the bound's name, which is
+# also its DimensionReport field, with its winner in best_<name>
+_EXPONENTS = {"minkowski": FOUR_SLICE_EXPONENT, "hausdorff": THREE_SLICE_EXPONENT}
+
 
 def _require_dimension(n: int) -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise InvalidDimension(f"ambient dimension must be an integer >= 2, got {n!r}")
 
 
+def _ladder_bound(kind: str, n: int) -> Fraction:
+    """(n - 1) / alpha + 1 for the exponent alpha of the named bound."""
+    _require_dimension(n)
+    return (n - 1) / _EXPONENTS[kind] + 1
+
+
 def minkowski_bound(n: int) -> Fraction:
     """Box-dimension lower bound (n - 1) / (7/4) + 1 = (4n + 3) / 7."""
-    _require_dimension(n)
-    return (n - 1) / FOUR_SLICE_EXPONENT + 1
+    return _ladder_bound("minkowski", n)
 
 
 def hausdorff_bound(n: int) -> Fraction:
     """Hausdorff-dimension lower bound (n - 1) / (11/6) + 1 = (6n + 5) / 11."""
-    _require_dimension(n)
-    return (n - 1) / THREE_SLICE_EXPONENT + 1
+    return _ladder_bound("hausdorff", n)
 
 
 def wolff_bound(n: int) -> Fraction:
@@ -69,17 +80,14 @@ class DimensionReport:
     best_hausdorff: str
 
     def to_json_dict(self) -> dict:
-        def enc(q: Fraction) -> dict:
-            return {"num": q.numerator, "den": q.denominator}
-
-        return {
-            "dimension": self.dimension,
-            "minkowski": enc(self.minkowski),
-            "hausdorff": enc(self.hausdorff),
-            "wolff": enc(self.wolff),
-            "best_minkowski": self.best_minkowski,
-            "best_hausdorff": self.best_hausdorff,
-        }
+        """The fields in order, each Fraction as {"num": ..., "den": ...}."""
+        doc = {}
+        for f in fields(self):
+            q = getattr(self, f.name)
+            if isinstance(q, Fraction):
+                q = {"num": q.numerator, "den": q.denominator}
+            doc[f.name] = q
+        return doc
 
 
 def _winner(candidate: Fraction, benchmark: Fraction, name: str) -> str:
@@ -91,33 +99,21 @@ def _winner(candidate: Fraction, benchmark: Fraction, name: str) -> str:
 
 
 def dimension_report(n: int) -> DimensionReport:
-    _require_dimension(n)
-    mink = minkowski_bound(n)
-    haus = hausdorff_bound(n)
     wolff = wolff_bound(n)
-    return DimensionReport(
-        dimension=n,
-        minkowski=mink,
-        hausdorff=haus,
-        wolff=wolff,
-        best_minkowski=_winner(mink, wolff, "minkowski"),
-        best_hausdorff=_winner(haus, wolff, "hausdorff"),
-    )
+    bounds = {kind: _ladder_bound(kind, n) for kind in _EXPONENTS}
+    winners = {f"best_{kind}": _winner(q, wolff, kind) for kind, q in bounds.items()}
+    return DimensionReport(dimension=n, wolff=wolff, **bounds, **winners)
 
 
 def novelty_threshold(kind: str) -> int:
     """Least dimension where the named bound strictly beats the benchmark.
 
-    Computed by upward scan, not hard-coded, so the formulas stay the
-    single source of truth.
+    Computed by upward scan, not hard-coded, so the table stays the single
+    source of truth.
     """
-    if kind == "minkowski":
-        bound = minkowski_bound
-    elif kind == "hausdorff":
-        bound = hausdorff_bound
-    else:
-        raise ValueError(f"kind must be 'minkowski' or 'hausdorff', got {kind!r}")
+    if not isinstance(kind, str) or kind not in _EXPONENTS:
+        raise ValueError(f"kind must be {' or '.join(map(repr, _EXPONENTS))}, got {kind!r}")
     n = 2
-    while bound(n) <= wolff_bound(n):
+    while _ladder_bound(kind, n) <= wolff_bound(n):
         n += 1
     return n

@@ -121,9 +121,6 @@ DEFAULT_WEDGE_CAP = 10**6
 THREE_SLICE_EXPONENT = Fraction(11, 6)
 FOUR_SLICE_EXPONENT = Fraction(7, 4)
 
-# each left element's sorted right partners, as Instance.partners() returns them
-_Partners = dict[int, tuple[int, ...]]
-
 
 class Wedge(NamedTuple):
     """A left element with an ordered pair of right partners, both pairs in G."""
@@ -133,14 +130,14 @@ class Wedge(NamedTuple):
     b2: int
 
 
-def _square_degrees(partners: _Partners) -> int:
+def _square_degrees(rows: Iterable[Sequence[int]]) -> int:
     """The wedge count of partner rows: the sum of their squared lengths."""
-    return sum(len(ys) ** 2 for ys in partners.values())
+    return sum(len(ys) ** 2 for ys in rows)
 
 
 def wedge_count(inst: Instance) -> int:
     """Sum of squared left degrees, without materializing the wedges."""
-    return _square_degrees(inst.partners())
+    return _square_degrees(inst.partners().values())
 
 
 def _check_cap(wedges: int, cap: int) -> None:
@@ -296,7 +293,7 @@ def _unpacked(table: Iterable[int], fields: int, width: int) -> Iterator[Sequenc
 
 def enumerate_wedges(inst: Instance) -> tuple[Wedge, ...]:
     partners = inst.partners()
-    _check_cap(_square_degrees(partners), DEFAULT_WEDGE_CAP)
+    _check_cap(_square_degrees(partners.values()), DEFAULT_WEDGE_CAP)
     out = []
     for a, ys in sorted(partners.items()):
         for b in ys:

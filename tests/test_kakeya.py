@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from arithproj import proofs
 from arithproj.errors import InvalidDimension
 from arithproj.kakeya import (
     dimension_report,
@@ -53,8 +54,10 @@ def test_thresholds_match_independent_scan():
     )
     assert novelty_threshold("minkowski") == expected_mink
     assert novelty_threshold("hausdorff") == expected_haus
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as excinfo:
         novelty_threshold("box")
+    assert "'minkowski'" in str(excinfo.value)
+    assert "'hausdorff'" in str(excinfo.value)
 
 
 def test_crossover_at_eight():
@@ -78,12 +81,27 @@ def test_report_winners():
 
 
 def test_report_json_shape():
-    doc = dimension_report(5).to_json_dict()
-    assert doc == {
-        "dimension": 5,
-        "minkowski": {"num": 23, "den": 7},
-        "hausdorff": {"num": 35, "den": 11},
-        "wolff": {"num": 7, "den": 2},
-        "best_minkowski": "wolff",
-        "best_hausdorff": "wolff",
-    }
+    def winner(num: int, den: int, n: int, name: str) -> str:
+        # num/den against (n + 2)/2, by integer cross-multiplication
+        lhs, rhs = 2 * num, (n + 2) * den
+        return name if lhs > rhs else "wolff" if lhs < rhs else "equal"
+
+    def enc(num: int, den: int) -> dict:
+        q = Fraction(num, den)
+        return {"num": q.numerator, "den": q.denominator}
+
+    for n in range(2, 61):
+        expected = {
+            "dimension": n,
+            "minkowski": enc(4 * n + 3, 7),
+            "hausdorff": enc(6 * n + 5, 11),
+            "wolff": enc(n + 2, 2),
+            "best_minkowski": winner(4 * n + 3, 7, n, "minkowski"),
+            "best_hausdorff": winner(6 * n + 5, 11, n, "hausdorff"),
+        }
+        doc = dimension_report(n).to_json_dict()
+        assert doc == expected
+        assert list(doc) == list(expected)
+        # the bounds are the rule (n - 1)/alpha + 1 on the proven exponents
+        assert minkowski_bound(n) == (n - 1) / proofs.FOUR_SLICE_EXPONENT + 1
+        assert hausdorff_bound(n) == (n - 1) / proofs.THREE_SLICE_EXPONENT + 1
