@@ -6,13 +6,15 @@ with f_i(x_{i-1}) = f_i(x_i) for 1 <= i <= n.  The number of chains is at
 least (#X)^(n+1) / prod(#A_i): each step conditions on a label collision,
 and averaging over fibers loses at most a factor #A_i per step.
 
-Two counts are kept apart on purpose.  chain_count_dp aggregates weights
-over label fibers.  chain_count_naive is the oracle: it grows chains one
-position at a time and tests the defining label equality for every
-candidate extension.  Its scans run in C, ``list.index`` to the next
-matching item and ``list.count`` for the last position, but each is a
-fresh scan over every candidate, so it shares no fiber sums, grouping,
-weights or memo with the DP.
+Two counts are kept apart on purpose.  chain_count_dp reads each labeling
+once as a list of labels in item order and aggregates weights over label
+fibers.  chain_count_naive is the oracle: it grows chains one position at
+a time and tests the defining label equality for every candidate
+extension.  Its scans run in C, ``list.index`` to the next matching item
+and ``list.count`` for the last position; one inner scan loop finishes
+each next-to-last position, and one step is a sum of counts.  Each scan is
+a fresh pass over every candidate, so the oracle shares no fiber sums,
+grouping, weights or memo with the DP.
 
 Counts are exact arbitrary-width integers throughout.
 """
@@ -92,9 +94,12 @@ def chain_count_naive(problem: ChainProblem, cap: int = DEFAULT_ENUMERATION_CAP)
     This is the oracle.  Position j keeps an item y only if
     f_j(x_{j-1}) matches f_j(y); a prefix that breaks the match is never
     extended.  The scan runs in C: ``list.index`` jumps to the next matching
-    item, and at the next-to-last position ``list.count`` adds the number of
-    matching last items instead of visiting each one.  Both still test the
-    label of every candidate extension, and each ``count`` is a fresh scan.
+    item, and ``list.count`` adds the number of matching last items instead
+    of visiting each one.  One inner scan loop finishes each prefix that
+    reaches the next-to-last position: ``count`` sizes the loop and
+    ``index`` steps to each matching next-to-last item.  One step is the
+    sum of the last items' counts over every first item.  Every scan tests
+    the label of every candidate extension, and each is a fresh scan.
     Labels match when they are the same object or compare ``==``, the rule
     of the DP's dict fibers and of ``Labeling``'s label set, so one shared
     ``nan`` label matches itself.  The walk uses no fiber sums, no
@@ -113,6 +118,9 @@ def chain_count_naive(problem: ChainProblem, cap: int = DEFAULT_ENUMERATION_CAP)
     # labels[i][y] is f_{i+1} of the y-th item
     labels = [[lab.assignment[x] for x in problem.items] for lab in problem.labelings]
     last = labels[-1]
+    if width == 2:
+        return sum(map(last.count, last))
+    penultimate = labels[-2]  # f_{n-1}, which picks the next-to-last item
     count = 0
     path: list[int] = []  # item indices of the prefix x_0 .. x_{j-1}
     cursor = [0]  # cursor[j]: the next item index to try at position j
@@ -131,26 +139,41 @@ def chain_count_naive(problem: ChainProblem, cap: int = DEFAULT_ENUMERATION_CAP)
                 path.pop()
             continue
         cursor[-1] = y + 1
-        if j == width - 2:
-            count += last.count(last[y])
-        else:
+        if j < width - 3:
             path.append(y)
             cursor.append(0)
+            continue
+        # y ends a prefix x_0 .. x_{n-2}: each of its matching next-to-last
+        # items z adds the number of last items that match z
+        target = penultimate[y]
+        z = -1
+        for _ in range(penultimate.count(target)):
+            z = penultimate.index(target, z + 1)
+            count += last.count(last[z])
     return count
 
 
 def chain_count_dp(problem: ChainProblem) -> int:
     """Count chains by fiber aggregation, O(steps * #X) map operations.
 
-    After step i, weight[x] is the number of valid prefixes ending at x.
+    Each labeling is read once, as a list of labels in item order.  After
+    step i, weights[k] is the number of valid prefixes ending at the k-th
+    item.  Every prefix of length one has weight 1, so the first step's
+    fiber sums are the fiber sizes.
     """
-    weights = dict.fromkeys(problem.items, 1)
-    for lab in problem.labelings:
+    items = problem.items
+    if not problem.labelings:
+        return len(items)
+    first, *rest = problem.labelings
+    labels = list(map(first.assignment.__getitem__, items))
+    weights = list(map(Counter(labels).__getitem__, labels))
+    for lab in rest:
+        labels = list(map(lab.assignment.__getitem__, items))
         fiber_sum: dict = defaultdict(int)
-        for x, w in weights.items():
-            fiber_sum[lab.assignment[x]] += w
-        weights = {x: fiber_sum[lab.assignment[x]] for x in problem.items}
-    return sum(weights.values())
+        for label, w in zip(labels, weights):
+            fiber_sum[label] += w
+        weights = list(map(fiber_sum.__getitem__, labels))
+    return sum(weights)
 
 
 def chain_lower_bound(problem: ChainProblem) -> Fraction:

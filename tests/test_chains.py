@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -91,7 +92,7 @@ def test_naive_cap():
 def test_dp_equals_naive_random():
     rng = random.Random(11)
     for _ in range(150):
-        problem = random_chain_problem(rng, max_items=8, max_steps=3)
+        problem = random_chain_problem(rng, max_items=8, max_steps=5)
         assert chain_count_dp(problem) == chain_count_naive(problem)
 
 
@@ -107,7 +108,8 @@ def product_count(problem: ChainProblem) -> int:
 def test_naive_equals_product_enumeration():
     rng = random.Random(19)
     for _ in range(150):
-        problem = random_chain_problem(rng, max_items=8, max_steps=3)
+        # six items keep the 6**6 tuples of five steps cheap to enumerate
+        problem = random_chain_problem(rng, max_items=6, max_steps=5)
         assert chain_count_naive(problem) == product_count(problem)
     empty = ChainProblem(items=(), labelings=(Labeling({}, 0),))
     assert chain_count_naive(empty) == product_count(empty) == 0
@@ -137,18 +139,32 @@ def test_naive_edge_shapes_match_product_enumeration():
     items = (0, 1, 2, 3, 4)
     by_tuple = Labeling({x: (x % 2, "t") for x in items}, 2)
     by_str = Labeling({x: "ab"[x < 2] for x in items}, 2)
+    # only the last item carries True: after it, the only match is the last item
+    last_alone = Labeling({x: x == 4 for x in items}, 2)
+    constant = Labeling(dict.fromkeys(items, 0), 1)
+    distinct = Labeling({x: x for x in items}, 5)
+    proxy = Labeling(MappingProxyType({x: x % 3 for x in items}), 3)
     problems = [
         ChainProblem(items=items, labelings=()),
         ChainProblem(items=items, labelings=(by_tuple,)),
         ChainProblem(items=items, labelings=(by_str,)),
+        ChainProblem(items=items, labelings=(distinct,)),
         ChainProblem(items=items, labelings=(by_tuple, by_str, by_tuple)),
+        ChainProblem(items=items, labelings=(last_alone, by_tuple)),
+        ChainProblem(items=items, labelings=(by_str, last_alone, by_tuple)),
+        ChainProblem(items=items, labelings=(by_tuple, constant, by_str)),
+        ChainProblem(items=items, labelings=(by_tuple, last_alone, by_str, constant)),
+        ChainProblem(items=items, labelings=(by_str, by_tuple, distinct, last_alone, by_tuple)),
+        ChainProblem(items=items, labelings=(proxy, by_str)),
+        ChainProblem(items=items, labelings=(proxy, by_str, proxy)),
         ChainProblem(items=(), labelings=(Labeling({}, 0),)),
         ChainProblem(items=(), labelings=(Labeling({}, 0),) * 3),
     ]
     for problem in problems:
         assert chain_count_naive(problem) == product_count(problem) == chain_count_dp(problem)
-    # zero steps count the items; one step sums the squared fibers 3**2 + 2**2
-    assert [chain_count_naive(p) for p in problems[:3]] == [5, 13, 13]
+    # zero steps count the items; one step sums the squared fibers 3**2 + 2**2,
+    # or 1 per item when every label is distinct
+    assert [chain_count_naive(p) for p in problems[:4]] == [5, 13, 13, 5]
 
 
 def test_naive_dense_closed_form():
