@@ -21,7 +21,6 @@ Counts are exact arbitrary-width integers throughout.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -37,8 +36,6 @@ __all__ = [
     "chain_count_dp",
     "chain_count_naive",
     "chain_lower_bound",
-    "popular_filter",
-    "tensor_power",
 ]
 
 DEFAULT_ENUMERATION_CAP = 10**8
@@ -186,42 +183,3 @@ def chain_lower_bound(problem: ChainProblem) -> Fraction:
             raise EmptyLabelSet("lower bound undefined for an empty label set")
     denom = prod(lab.label_count for lab in problem.labelings)
     return Fraction(n_items ** (problem.steps + 1), denom)
-
-
-def popular_filter(items, assignment: Mapping, labels) -> frozenset:
-    """Keep items whose label fiber has size >= #X / (2 * #labels).
-
-    ``labels`` may be the label set itself or its size.  The comparison is
-    exact (cross-multiplied integers).  The survivors always number at least
-    #X / 2: each of the <= #labels unpopular fibers removes fewer than
-    #X / (2 * #labels) items.
-    """
-    items = tuple(items)
-    label_count = labels if isinstance(labels, int) else len(labels)
-    if not items:
-        return frozenset()
-    if label_count <= 0:
-        raise EmptyLabelSet("popularity undefined for an empty label set")
-    fibers = Counter(assignment[x] for x in items)
-    n = len(items)
-    return frozenset(
-        x for x in items if 2 * label_count * fibers[assignment[x]] >= n
-    )
-
-
-def tensor_power(problem: ChainProblem, power: int) -> ChainProblem:
-    """The M-fold product problem: items X^M, labelings applied coordinatewise.
-
-    Chain counts and the lower bound are both multiplicative in M, which is
-    what makes first-digit losses vanish after tensoring.
-    """
-    if power < 1:
-        raise ValueError(f"power must be >= 1, got {power}")
-    items = tuple(itertools.product(problem.items, repeat=power))
-    labelings = []
-    for lab in problem.labelings:
-        assignment = {
-            combo: tuple(lab.assignment[x] for x in combo) for combo in items
-        }
-        labelings.append(Labeling(assignment, lab.label_count**power))
-    return ChainProblem(items=items, labelings=tuple(labelings))

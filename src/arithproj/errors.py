@@ -15,8 +15,6 @@ __all__ = [
     "InvalidBase",
     "InvalidDimension",
     "MalformedInstance",
-    "NoPreimage",
-    "NotDifferenceInjective",
 ]
 
 
@@ -38,14 +36,6 @@ class EnumerationCapExceeded(ArithprojError):
 
 class EmptyLabelSet(ArithprojError):
     """A labeling maps a nonempty item set into an empty label set."""
-
-
-class NotDifferenceInjective(ArithprojError):
-    """The operation requires pairwise distinct differences a - b."""
-
-
-class NoPreimage(ArithprojError):
-    """The given fingerprint is not in the image of the injective map."""
 
 
 class HypothesisViolated(ArithprojError):

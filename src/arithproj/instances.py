@@ -22,7 +22,6 @@ __all__ = [
     "Instance",
     "LinearForm",
     "budgeted_slices",
-    "is_difference_injective",
     "load_instance",
     "project",
     "read_json",
@@ -226,12 +225,6 @@ def _within_budget(sizes: dict[str, int], budget: int) -> dict[str, int]:
             f"hypotheses {failed} fail for budget {budget} (sizes {sizes})"
         )
     return sizes
-
-
-def is_difference_injective(inst: Instance) -> bool:
-    """True when a - b is distinct across the pairs of G."""
-    g = inst.group
-    return len({g.sub(x, y) for x, y in inst.pairs}) == len(inst.pairs)
 
 
 def reduce_to_difference_injective(inst: Instance) -> Instance:

@@ -15,27 +15,29 @@ label collisions gives two counting arguments:
   determined by (a0+b0, a0+b0_2, b1), capping the pair count at budget^3 and
   the distinct differences at budget^(7/4).
 
-Both "determined by" claims are realized below as explicit reconstruction
-functions, so injectivity is checked by execution rather than argued.
+Both "determined by" claims are realized as explicit reconstruction
+functions in the test oracles (tests/oracles.py), so injectivity is
+checked by execution rather than argued.
 
 Every verdict is an integer comparison: an Inequality keeps its left side
 as a numerator over a positive denominator and its right side as an
 integer, and cross-multiplies, so x <= N^(p/q) is x**q <= N**p; its
 Fraction sides are built only when read.
 
-The ladder counts stream: one forward walk over the sorted pairs of G
-numbers its rows, and count_linked_quads and count_skew_collisions run the
+The ladder counts stream: each verify_* ladder makes one forward walk
+over the sorted pairs of G that numbers its rows, and its count runs the
 fiber-sum recursion of chain_count_dp directly over them, so no wedge or
-label tuple is built.  Each pair (a, b) appends to a's row the index of b
-in the sorted B and the id of its label a + k*b (k = 1 for the quads, 2
-for the collisions), reduced once and numbered on first sight; no kernel
-reads the order of either id.  For a verify_* ladder the walk also keeps
-only the first pair of each difference a - b, the lex-smallest one, which
-is the pair reduce_to_difference_injective keeps, and the 7/4 ladder
-collects the sums a + b as well.  #C or #D is the number of label ids and
-#A and #B are the instance's own sets, so the hypotheses, the wedge cap
-and the kernel rule read their sizes off the walk, in that order, before
-any table is allocated.  Each fiber table is indexed by a label id and
+label tuple is built.  The walk keeps only the first pair of each
+difference a - b, the lex-smallest one, which is the pair
+reduce_to_difference_injective keeps, so both ladders count on a
+difference-injective G, as the paper's arguments require.  Each kept pair
+(a, b) appends to a's row the index of b in the sorted B and the id of its
+label a + k*b (k = 1 for the quads, 2 for the collisions), reduced once
+and numbered on first sight; no kernel reads the order of either id.  The
+7/4 ladder collects the sums a + b as well.  #C or #D is the number of
+label ids and #A and #B are the instance's own sets, so the hypotheses,
+the wedge cap and the kernel rule read their sizes off the walk, in that
+order, before any table is allocated.  Each fiber table is indexed by a label id and
 counts the second coordinate of the label, and each count picks its
 table form once, by its rule: packed dense rows over the label and
 partner ids, or int-keyed dicts holding at most one entry per wedge.
@@ -85,8 +87,7 @@ from typing import NamedTuple
 
 # chain_count_dp is re-exported: it counts the explicit problems below.
 from .chains import ChainProblem, Labeling, chain_count_dp  # noqa: F401
-from .errors import EnumerationCapExceeded, NoPreimage, NotDifferenceInjective
-from .groups import AmbientGroup
+from .errors import EnumerationCapExceeded
 from .instances import SKEW_SUM, SUM, Instance, _within_budget, project
 
 # the ladders reduce and check their hypotheses in their own walk over G;
@@ -100,18 +101,11 @@ __all__ = [
     "ChainReport",
     "Inequality",
     "Wedge",
-    "collision_fingerprint",
-    "count_linked_quads",
-    "count_skew_collisions",
     "enumerate_wedges",
     "linked_quad_problem",
-    "quad_fingerprint",
-    "reconstruct_pair",
-    "reconstruct_quad",
     "skew_collision_problem",
     "verify_four_slice_chain",
     "verify_three_slice_chain",
-    "wedge_count",
 ]
 
 DEFAULT_WEDGE_CAP = 10**6
@@ -128,16 +122,6 @@ class Wedge(NamedTuple):
     a: int
     b: int
     b2: int
-
-
-def _square_degrees(rows: Iterable[Sequence[int]]) -> int:
-    """The wedge count of partner rows: the sum of their squared lengths."""
-    return sum(len(ys) ** 2 for ys in rows)
-
-
-def wedge_count(inst: Instance) -> int:
-    """Sum of squared left degrees, without materializing the wedges."""
-    return _square_degrees(inst.partners().values())
 
 
 def _check_cap(wedges: int, cap: int) -> None:
@@ -161,15 +145,15 @@ class _IdRows(NamedTuple):
     largest: dict[int, int]  # each id column's largest fiber, once counted
 
 
-def _id_rows(inst: Instance, k: int, one_per_difference: bool) -> _IdRows:
+def _id_rows(inst: Instance, k: int) -> _IdRows:
     """One forward walk over the sorted pairs of G.
 
-    With one_per_difference a pair is skipped when an earlier pair has its
-    difference a - b, so each difference keeps its lex-smallest pair, the
-    one reduce_to_difference_injective keeps.  A kept pair (a, b) appends
-    to a's row the index of b in the sorted B and the id of its label
-    a + k*b, reduced once and numbered on first sight.  For k != 1 the walk
-    also counts the distinct sums a + b.
+    A pair is skipped when an earlier pair has its difference a - b, so
+    each difference keeps its lex-smallest pair, the one
+    reduce_to_difference_injective keeps.  A kept pair (a, b) appends to
+    a's row the index of b in the sorted B and the id of its label a + k*b,
+    reduced once and numbered on first sight.  For k != 1 the walk also
+    counts the distinct sums a + b.
     """
     m = inst.group.modulus
     partner_id = {b: i for i, b in enumerate(inst.b_set)}
@@ -183,10 +167,9 @@ def _id_rows(inst: Instance, k: int, one_per_difference: bool) -> _IdRows:
             d, s = a - b, a + k * b
         else:
             d, s = (a - b) % m, (a + k * b) % m
-        if one_per_difference:
-            if d in differences:
-                continue
-            differences.add(d)
+        if d in differences:
+            continue
+        differences.add(d)
         if k != 1:
             sums.add(a + b if m is None else (a + b) % m)
         if a != last:
@@ -197,7 +180,7 @@ def _id_rows(inst: Instance, k: int, one_per_difference: bool) -> _IdRows:
         ids.append(label_id.setdefault(s, len(label_id)))
     return _IdRows(
         rows=rows,
-        pairs=len(differences) if one_per_difference else len(inst.pairs),
+        pairs=len(differences),
         wedges=sum(len(ys) ** 2 for ys, _ in rows),
         labels=len(label_id),
         sums=len(sums) if k != 1 else len(label_id),
@@ -293,7 +276,7 @@ def _unpacked(table: Iterable[int], fields: int, width: int) -> Iterator[Sequenc
 
 def enumerate_wedges(inst: Instance) -> tuple[Wedge, ...]:
     partners = inst.partners()
-    _check_cap(_square_degrees(partners.values()), DEFAULT_WEDGE_CAP)
+    _check_cap(sum(len(ys) ** 2 for ys in partners.values()), DEFAULT_WEDGE_CAP)
     out = []
     for a, ys in sorted(partners.items()):
         for b in ys:
@@ -316,7 +299,7 @@ def linked_quad_problem(inst: Instance) -> ChainProblem:
     return ChainProblem(items=wedges, labelings=labelings)
 
 
-def count_linked_quads(inst: Instance) -> int:
+def _linked_quads(walk: _IdRows) -> int:
     """Chains of the three linked_quad_problem labelings, by fiber sums.
 
     The tables run over the numbered rows of one walk over G, in which the
@@ -334,12 +317,6 @@ def count_linked_quads(inst: Instance) -> int:
     back; or all three are int-keyed dicts, c1 and n3 from _dict_fibers.
     Both forms share the last step.
     """
-    walk = _id_rows(inst, 1, one_per_difference=False)
-    _check_cap(walk.wedges, DEFAULT_WEDGE_CAP)
-    return _linked_quads(walk)
-
-
-def _linked_quads(walk: _IdRows) -> int:
     rows, c_size, b_size = walk.rows, walk.labels, walk.partners
     # up to 12 slots per wedge the dense tracemalloc peak stays below 0.42 of
     # the sparse one; on one-sum matchings the two meet near 145 slots per wedge
@@ -393,7 +370,7 @@ def skew_collision_problem(inst: Instance) -> ChainProblem:
     return ChainProblem(items=wedges, labelings=labelings)
 
 
-def count_skew_collisions(inst: Instance) -> int:
+def _skew_collisions(walk: _IdRows) -> int:
     """Ordered wedge pairs sharing (a+2b, b2): the sum of squared fiber sizes.
 
     fibers[a+2b] counts the row's partners b2 over the numbered rows of one
@@ -404,12 +381,6 @@ def count_skew_collisions(inst: Instance) -> int:
     rows, since a+2b repeats within a row mod an even m, and _unpacked reads
     the fibers back one at a time.
     """
-    walk = _id_rows(inst, 2, one_per_difference=False)
-    _check_cap(walk.wedges, DEFAULT_WEDGE_CAP)
-    return _skew_collisions(walk)
-
-
-def _skew_collisions(walk: _IdRows) -> int:
     # fitted to per-walk kernel timings: a dense slot costs what the dense
     # table saves on a third of a wedge, and a dense pair on two thirds
     if walk.labels * walk.partners + 2 * walk.pairs < 3 * walk.wedges:
@@ -422,100 +393,6 @@ def _skew_collisions(walk: _IdRows) -> int:
         return collisions
     fibers = _dict_fibers(walk.rows, 0)
     return sum(n * n for fiber in fibers.values() for n in fiber.values())
-
-
-def quad_fingerprint(quad: tuple[Wedge, Wedge, Wedge, Wedge]) -> tuple[Wedge, int, int]:
-    """(first wedge, third wedge's left element, fourth wedge's first partner)."""
-    return (quad[0], quad[2].a, quad[3].b)
-
-
-def collision_fingerprint(
-    group: AmbientGroup, pair: tuple[Wedge, Wedge]
-) -> tuple[int, int, int]:
-    """(a0 + b0, a0 + b0_2, b1): two sums from the first wedge, one partner."""
-    w0, w1 = pair
-    return (group.add(w0.a, w0.b), group.add(w0.a, w0.b2), w1.b)
-
-
-def _difference_index(inst: Instance) -> dict[int, tuple[int, int]]:
-    g = inst.group
-    index = {g.sub(x, y): (x, y) for x, y in inst.pairs}
-    if len(index) != len(inst.pairs):
-        raise NotDifferenceInjective(
-            "reconstruction requires pairwise distinct differences a - b"
-        )
-    return index
-
-
-def reconstruct_quad(
-    inst: Instance, w0: Wedge, apex2: int, partner3: int
-) -> tuple[Wedge, Wedge, Wedge, Wedge]:
-    """Invert quad_fingerprint on a difference-injective instance.
-
-    The three label equalities force
-        a3 - b3_2 = apex2 - partner3 + (b0 - b0_2),
-    and that difference determines the pair (a3, b3_2).  The remaining
-    coordinates then unwind: b2 = a3 + b3 - a2 from the third label,
-    (b1, b1_2) = (b2, b2_2) from the second, a1 = a0 + b0 - b1 from the
-    first.  Raises NoPreimage when any forced coordinate fails its
-    membership or consistency check.
-    """
-    g = inst.group
-    index = _difference_index(inst)
-    pairs = set(inst.pairs)
-    if (w0.a, w0.b) not in pairs or (w0.a, w0.b2) not in pairs:
-        raise NoPreimage(f"{w0} is not a wedge of the instance")
-    delta = g.add(g.sub(apex2, partner3), g.sub(w0.b, w0.b2))
-    hit = index.get(delta)
-    if hit is None:
-        raise NoPreimage(f"no pair with difference {delta}")
-    a3, b3_2 = hit
-    b3 = partner3
-    b2 = g.sub(g.add(a3, b3), apex2)
-    b2_2 = b3_2
-    b1, b1_2 = b2, b2_2
-    a1 = g.sub(g.add(w0.a, w0.b), b1)
-    memberships = [
-        (a1, b1),
-        (a1, b1_2),
-        (apex2, b2),
-        (apex2, b2_2),
-        (a3, b3),
-    ]
-    if any(p not in pairs for p in memberships):
-        raise NoPreimage("forced coordinates leave the relation")
-    if g.add(w0.a, w0.b2) != g.add(a1, b1_2):
-        raise NoPreimage("second-sum consistency fails")
-    return (w0, Wedge(a1, b1, b1_2), Wedge(apex2, b2, b2_2), Wedge(a3, b3, b3_2))
-
-
-def reconstruct_pair(
-    inst: Instance, sum0: int, alt_sum0: int, partner1: int
-) -> tuple[Wedge, Wedge]:
-    """Invert collision_fingerprint on a difference-injective instance.
-
-    The skew label equality forces
-        a1 - b1_2 = 2*sum0 - 2*partner1 - alt_sum0,
-    determining (a1, b1_2); then b0_2 = b1_2, a0 = 2*sum0 - (a1 + 2*partner1)
-    and b0 = sum0 - a0.
-    """
-    g = inst.group
-    index = _difference_index(inst)
-    pairs = set(inst.pairs)
-    delta = g.sub(g.sub(g.scale(2, sum0), g.scale(2, partner1)), alt_sum0)
-    hit = index.get(delta)
-    if hit is None:
-        raise NoPreimage(f"no pair with difference {delta}")
-    a1, b1_2 = hit
-    b0_2 = b1_2
-    a0 = g.sub(g.scale(2, sum0), g.add(a1, g.scale(2, partner1)))
-    b0 = g.sub(sum0, a0)
-    if g.add(a0, b0_2) != alt_sum0:
-        raise NoPreimage("second-sum consistency fails")
-    memberships = [(a0, b0), (a0, b0_2), (a1, partner1), (a1, b1_2)]
-    if any(p not in pairs for p in memberships):
-        raise NoPreimage("forced coordinates leave the relation")
-    return (Wedge(a0, b0, b0_2), Wedge(a1, partner1, b1_2))
 
 
 @dataclass(slots=True)
@@ -586,7 +463,7 @@ def _ladder_walk(inst: Instance, k: int, budget: int, cap: int) -> _IdRows:
     labels a + k*b, once budget bounds #A, #B, #C and, for k = 2, #D (else
     ValueError or HypothesisViolated) and cap bounds the wedges (else
     EnumerationCapExceeded)."""
-    walk = _id_rows(inst, k, one_per_difference=True)
+    walk = _id_rows(inst, k)
     sizes = {"A": len(inst.a_set), "B": walk.partners, "C": walk.sums}
     if k == 2:
         sizes["D"] = walk.labels

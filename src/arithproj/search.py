@@ -72,7 +72,6 @@ __all__ = [
     "search",
 ]
 
-_EXHAUSTIVE_CELL_LIMIT = 25  # (K+1)**2 above this forbids exhaustive mode
 _WITNESS_CAP = 64  # witnesses kept in a result, least first
 # the walk recurses once per chosen cell, so at most once per choice group:
 # this keeps it well under the default recursion limit of 1000
@@ -206,14 +205,9 @@ class SearchSpec:
             raise ValueError("alphabet_max must be >= 0")
         if self.mode not in ("exhaustive", "branch-bound"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        cells = (self.alphabet_max + 1) ** 2
-        if self.mode == "exhaustive" and cells > _EXHAUSTIVE_CELL_LIMIT:
-            raise ValueError(
-                f"exhaustive mode allows at most {_EXHAUSTIVE_CELL_LIMIT} cells, got {cells}"
-            )
         if self.node_budget is not None and self.node_budget < 1:
             raise ValueError(f"node_budget must be >= 1, got {self.node_budget}")
-        groups = cells
+        groups = (self.alphabet_max + 1) ** 2
         if self.require_difference_injective:
             groups = 2 * self.alphabet_max + 1
         if groups > _GROUP_LIMIT:

@@ -53,6 +53,8 @@ K5_WITNESSES = frozenset(
     }
 )
 K5_BRANCH_BOUND_NODES = 99770
+# the full K=5 tree, in either slice set, which exhaustive mode reports
+K5_EXHAUSTIVE_NODES = 6235353
 
 # alphabet {0..6}, difference-injective, no skew constraint, branch-bound;
 # this and the K=5 constrained walk below were recorded by the walk that

@@ -10,13 +10,7 @@ import time
 from pathlib import Path
 
 import frozen
-from arithproj.chains import (
-    chain_count_dp,
-    chain_count_naive,
-    chain_lower_bound,
-    popular_filter,
-    tensor_power,
-)
+from arithproj.chains import chain_count_dp, chain_count_naive, chain_lower_bound
 from arithproj.instances import (
     DIFFERENCE,
     SKEW_SUM,
@@ -32,17 +26,17 @@ from arithproj.kakeya import (
     wolff_bound,
 )
 from arithproj.patterns import build_example_one, build_example_two, max_slice
-from arithproj.proofs import (
+from arithproj.proofs import enumerate_wedges, verify_four_slice_chain, verify_three_slice_chain
+from arithproj.sampling import random_chain_problem, random_instance
+from arithproj.search import SearchSpec, certify, search
+from oracles import (
     collision_fingerprint,
-    enumerate_wedges,
+    popular_filter,
     quad_fingerprint,
     reconstruct_pair,
     reconstruct_quad,
-    verify_four_slice_chain,
-    verify_three_slice_chain,
+    tensor_power,
 )
-from arithproj.sampling import random_chain_problem, random_instance
-from arithproj.search import SearchSpec, certify, search
 
 
 def test_criterion_1_first_construction_fidelity(acceptance):

@@ -16,11 +16,10 @@ from arithproj.chains import (
     chain_count_dp,
     chain_count_naive,
     chain_lower_bound,
-    popular_filter,
-    tensor_power,
 )
 from arithproj.errors import EmptyLabelSet, EnumerationCapExceeded
 from arithproj.sampling import random_chain_problem
+from oracles import popular_filter, tensor_power
 
 
 def two_step_problem() -> ChainProblem:

@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+import frozen
 from frozen_verify import VERIFY_CASES
 from arithproj.cli import main
 from arithproj.patterns import EXAMPLE_ONE_PATTERN
@@ -439,11 +440,13 @@ def test_search_non_positive_budget_exit_code(capsys):
         assert err.startswith("error:") and "node_budget" in err
 
 
-def test_search_exhaustive_too_large_exit_code(capsys):
-    code, stdout, err = run(capsys, ["search", "--K", "9", "--mode", "exhaustive"])
-    assert code == 2
-    assert stdout == ""
-    assert err.startswith("error:") and "25 cells" in err
+def test_search_exhaustive_k5_exit_code(capsys):
+    """Exhaustive mode walks the pruned tree, so K=5 runs and is certified."""
+    code, stdout, _ = run(capsys, ["search", "--K", "5", "--mode", "exhaustive"])
+    assert code == 0
+    payload = json.loads(stdout)
+    assert payload["exhaustive"] is True and payload["certified"] is True
+    assert payload["nodes"] == frozen.K5_EXHAUSTIVE_NODES
 
 
 def test_search_too_deep_walk_exit_code(capsys):

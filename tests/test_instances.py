@@ -16,7 +16,6 @@ from arithproj.instances import (
     Instance,
     LinearForm,
     budgeted_slices,
-    is_difference_injective,
     load_instance,
     project,
     reduce_to_difference_injective,
@@ -25,6 +24,7 @@ from arithproj.instances import (
     slice_sizes,
 )
 from arithproj.sampling import random_instance
+from oracles import is_difference_injective
 
 Z = AmbientGroup.integers()
 

@@ -1,10 +1,12 @@
 """The package namespace is exactly the union of the modules' ``__all__``,
-and no module imports a name it never uses."""
+no module imports a name it never uses, and the test oracles import no
+count from the package."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -83,3 +85,24 @@ def test_no_unused_imports():
     assert paths
     unused = [entry for path in paths for entry in _unused_imports(path)]
     assert unused == []
+
+
+# the package's counts, which the oracles in tests/oracles.py check
+COUNTS = re.compile(r"chain_count_\w*|verify_\w*|_linked_quads|_skew_collisions")
+
+
+def test_oracles_import_no_counting_function():
+    """tests/oracles.py imports the package's data types, but no count and
+    no package module, whose counts it could reach as attributes."""
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.name for a in node.names if a.name.split(".")[0] == "arithproj"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("arithproj"):
+            imported += [f"{node.module}.{a.name}" for a in node.names]
+    assert "arithproj.proofs.Wedge" in imported
+    for name in imported:
+        last = name.rsplit(".", 1)[-1]
+        assert not COUNTS.fullmatch(last), name
+        assert last not in (*MODULES, "arithproj", "*"), name

@@ -13,19 +13,13 @@ import pytest
 
 import frozen
 from arithproj.chains import chain_count_dp
-from arithproj.errors import (
-    EnumerationCapExceeded,
-    HypothesisViolated,
-    NoPreimage,
-    NotDifferenceInjective,
-)
+from arithproj.errors import EnumerationCapExceeded, HypothesisViolated
 from arithproj import proofs
 from arithproj.groups import AmbientGroup
 from arithproj.instances import (
     SKEW_SUM,
     SUM,
     Instance,
-    is_difference_injective,
     project,
     reduce_to_difference_injective,
     require_hypotheses,
@@ -42,22 +36,56 @@ from arithproj.proofs import (
     ChainReport,
     Inequality,
     Wedge,
-    collision_fingerprint,
-    count_linked_quads,
-    count_skew_collisions,
     enumerate_wedges,
     linked_quad_problem,
-    quad_fingerprint,
-    reconstruct_pair,
-    reconstruct_quad,
     skew_collision_problem,
     verify_four_slice_chain,
     verify_three_slice_chain,
-    wedge_count,
 )
 from arithproj.sampling import random_instance
+from oracles import (
+    NoPreimage,
+    NotDifferenceInjective,
+    collision_fingerprint,
+    is_difference_injective,
+    quad_fingerprint,
+    reconstruct_pair,
+    reconstruct_quad,
+)
 
 Z = AmbientGroup.integers()
+
+# a budget above every slice of the instances below, so the ladders check
+# their hypotheses and count
+UNBOUNDED = 10**9
+
+
+def wedge_count(inst: Instance) -> int:
+    """Sum of squared left degrees, without materializing the wedges."""
+    return sum(len(ys) ** 2 for ys in inst.partners().values())
+
+
+def both_ladders(inst: Instance) -> tuple:
+    """Calls of the 11/6 and the 7/4 ladder on inst."""
+    return (
+        lambda: verify_three_slice_chain(inst, UNBOUNDED),
+        lambda: verify_four_slice_chain(inst, UNBOUNDED),
+    )
+
+
+def ladder_counts(inst: Instance) -> tuple[int, int]:
+    """The quads and collisions of both ladders, which count on their own
+    walk over G; on a difference-injective inst that walk keeps every pair."""
+    three, four = both_ladders(inst)
+    return three().cardinalities["quads"], four().cardinalities["collisions"]
+
+
+def problem_counts(inst: Instance) -> tuple[int, int]:
+    """The quads and collisions of the explicit chain problems."""
+    return (
+        chain_count_dp(linked_quad_problem(inst)),
+        chain_count_dp(skew_collision_problem(inst)),
+    )
 
 
 def brute_counts(inst: Instance) -> tuple[int, int]:
@@ -118,8 +146,8 @@ def test_wedge_cap():
         enumerate_wedges,
         linked_quad_problem,
         skew_collision_problem,
-        count_linked_quads,
-        count_skew_collisions,
+        lambda inst: verify_three_slice_chain(inst, UNBOUNDED),
+        lambda inst: verify_four_slice_chain(inst, UNBOUNDED),
     ):
         with pytest.raises(EnumerationCapExceeded):
             entry(star)
@@ -128,10 +156,8 @@ def test_wedge_cap():
 def test_linked_counts_frozen():
     ex1 = build_example_one(1)
     ex2 = build_example_two(1)
-    assert count_linked_quads(ex1) == 36
-    assert count_skew_collisions(ex1) == 12
-    assert count_linked_quads(ex2) == 97
-    assert count_skew_collisions(ex2) == 30
+    assert ladder_counts(ex1) == (36, 12)
+    assert ladder_counts(ex2) == (97, 30)
 
 
 def test_linked_counts_match_brute_force():
@@ -146,10 +172,7 @@ def test_linked_counts_match_brute_force():
         if wedge_count(inst) > 40:
             continue
         checked += 1
-        assert brute_counts(inst) == (
-            count_linked_quads(inst),
-            count_skew_collisions(inst),
-        )
+        assert brute_counts(inst) == ladder_counts(inst)
 
 
 def test_streaming_counts_match_chain_problems():
@@ -158,80 +181,41 @@ def test_streaming_counts_match_chain_problems():
     for _ in range(240):
         inst = reduce_to_difference_injective(random_instance(rng, max_side=8))
         modular += inst.group.modulus is not None
-        assert count_linked_quads(inst) == chain_count_dp(linked_quad_problem(inst))
-        assert count_skew_collisions(inst) == chain_count_dp(
-            skew_collision_problem(inst)
-        )
+        assert ladder_counts(inst) == problem_counts(inst)
     assert 0 < modular < 240
-
-
-def test_streaming_counts_match_chain_problems_unreduced():
-    """The fiber-sum symmetry needs no difference-injectivity: raw draws."""
-    rng = random.Random(53)
-    wrap = Instance(
-        group=AmbientGroup.integers_mod(7),
-        a_set=(3, 5),
-        b_set=(1, 2, 5, 6),
-        pairs=((3, 1), (3, 2), (3, 5), (3, 6), (5, 1), (5, 6)),
-    )
-    draws = [wrap] + [random_instance(rng, max_side=8) for _ in range(240)]
-    kinds = set()
-    saw_wrapped_row = saw_not_injective = False
-    for inst in draws:
-        g = inst.group
-        kinds.add(g.modulus is not None)
-        saw_not_injective = saw_not_injective or not is_difference_injective(inst)
-        for a, ys in inst.partners().items():
-            sums = [g.add(a, b) for b in ys]
-            saw_wrapped_row = saw_wrapped_row or sums != sorted(sums)
-        assert count_linked_quads(inst) == chain_count_dp(linked_quad_problem(inst))
-        assert count_skew_collisions(inst) == chain_count_dp(
-            skew_collision_problem(inst)
-        )
-    assert kinds == {False, True}
-    assert saw_wrapped_row and saw_not_injective
 
 
 def test_streaming_counts_are_multiplicative_on_tensors():
     for n in (1, 2, 3):
         ex1 = build_example_one(n)
         ex2 = build_example_two(n)
-        assert count_linked_quads(ex1) == 36**n
-        assert count_skew_collisions(ex1) == 12**n
-        assert count_linked_quads(ex2) == 97**n
-        assert count_skew_collisions(ex2) == 30**n
+        assert ladder_counts(ex1) == (36**n, 12**n)
+        assert ladder_counts(ex2) == (97**n, 30**n)
 
 
 def test_streaming_counts_at_benchmark_sizes():
     """The tensor sizes the ladder benchmark runs, frozen here as well."""
-    assert count_linked_quads(build_example_one(5)) == 36**5
-    ex2 = build_example_two(4)
-    assert count_linked_quads(ex2) == 97**4
-    assert count_skew_collisions(ex2) == 30**4
+    assert verify_three_slice_chain(build_example_one(5), 3**5).cardinalities["quads"] == 36**5
+    assert ladder_counts(build_example_two(4)) == (97**4, 30**4)
 
 
 def test_streaming_counts_match_chain_problems_dense_rows():
-    """Long partner rows, raw and reduced, against the explicit problems."""
+    """Long partner rows, reduced, against the explicit problems."""
     rng = random.Random(59)
     kinds = set()
     longest_row = 0
     for _ in range(40):
-        raw = random_instance(rng, max_side=20)
-        kinds.add(raw.group.modulus is not None)
-        longest_row = max([longest_row] + [len(ys) for ys in raw.partners().values()])
-        for inst in (raw, reduce_to_difference_injective(raw)):
-            assert count_linked_quads(inst) == chain_count_dp(linked_quad_problem(inst))
-            assert count_skew_collisions(inst) == chain_count_dp(
-                skew_collision_problem(inst)
-            )
+        inst = reduce_to_difference_injective(random_instance(rng, max_side=20))
+        kinds.add(inst.group.modulus is not None)
+        longest_row = max([longest_row] + [len(ys) for ys in inst.partners().values()])
+        assert ladder_counts(inst) == problem_counts(inst)
     assert kinds == {False, True}
     assert longest_row >= 10
 
 
 def test_streaming_counts_edge_cases():
     empty = Instance(group=Z, a_set=(0, 1), b_set=(0, 1), pairs=())
-    assert count_linked_quads(empty) == 0
-    assert count_skew_collisions(empty) == 0
+    assert ladder_counts(empty) == (0, 0)
     # one partner per row: every wedge is (a, b, b), and the labels of
     # distinct rows still collide through shared sums and partners
     single = [
@@ -244,11 +228,9 @@ def test_streaming_counts_edge_cases():
             pairs=((0, 2), (1, 0), (3, 4), (4, 2)),
         ),
     ]
-    for inst in single:
+    for inst in map(reduce_to_difference_injective, single):
         assert all(len(ys) == 1 for ys in inst.partners().values())
-        assert (count_linked_quads(inst), count_skew_collisions(inst)) == brute_counts(inst)
-        assert count_linked_quads(inst) == chain_count_dp(linked_quad_problem(inst))
-        assert count_skew_collisions(inst) == chain_count_dp(skew_collision_problem(inst))
+        assert ladder_counts(inst) == brute_counts(inst) == problem_counts(inst)
 
 
 def test_ladders_make_their_own_walk_over_g(monkeypatch):
@@ -282,7 +264,8 @@ def test_streaming_counts_respect_wedge_cap():
 
 def reference_report(inst: Instance, budget: int, cap: int, with_d: bool) -> ChainReport:
     """A ladder's report from public pieces only: reduce, check the
-    hypotheses, check the wedge cap, then count on the reduced instance."""
+    hypotheses, check the wedge cap, then count the explicit chain problem
+    of the reduced instance."""
     reduced = reduce_to_difference_injective(inst)
     sizes = require_hypotheses(reduced, budget, with_d=with_d)
     wedges = wedge_count(reduced)
@@ -290,7 +273,7 @@ def reference_report(inst: Instance, budget: int, cap: int, with_d: bool) -> Cha
         raise EnumerationCapExceeded(f"{wedges} wedges exceed cap {cap}")
     relation, n, b = len(reduced.pairs), budget, sizes["B"]
     if not with_d:
-        quads, c = count_linked_quads(reduced), sizes["C"]
+        quads, c = chain_count_dp(linked_quad_problem(reduced)), sizes["C"]
         inequalities = (
             Inequality("wedge-count-lower", relation**2, wedges, lhs_den=n),
             Inequality("quad-count-lower-budget", wedges**4, quads, lhs_den=n**6),
@@ -301,7 +284,7 @@ def reference_report(inst: Instance, budget: int, cap: int, with_d: bool) -> Cha
         )
         cards = {"relation": relation, "wedges": wedges, "quads": quads}
         return ChainReport(budget, cards, inequalities)
-    collisions, d = count_skew_collisions(reduced), sizes["D"]
+    collisions, d = chain_count_dp(skew_collision_problem(reduced)), sizes["D"]
     inequalities = (
         Inequality("pair-count-lower-budget", wedges**2, collisions, lhs_den=n**2),
         Inequality("pair-count-lower-exact", wedges**2, collisions, lhs_den=max(1, d * b)),
@@ -412,17 +395,18 @@ def on_both_forms(kernel, walk) -> set[int]:
 def both_paths(inst: Instance) -> tuple[set[int], set[int]]:
     """Quads and collisions on packed rows and on dict tables, whatever the
     rule would pick for inst: one value each when the forms agree."""
-    walk = proofs._id_rows(inst, 1, one_per_difference=False)
+    walk = proofs._id_rows(inst, 1)
     quads = on_both_forms(proofs._linked_quads, walk)
-    walk = proofs._id_rows(inst, 2, one_per_difference=False)
+    walk = proofs._id_rows(inst, 2)
     collisions = on_both_forms(proofs._skew_collisions, walk)
     return quads, collisions
 
 
 def checked_both_paths(inst: Instance) -> tuple[int, int]:
-    """Quads and collisions, once both forms agree with the chain problems."""
-    quads = chain_count_dp(linked_quad_problem(inst))
-    collisions = chain_count_dp(skew_collision_problem(inst))
+    """Quads and collisions of a difference-injective inst, once both forms
+    agree with the chain problems."""
+    assert is_difference_injective(inst)
+    quads, collisions = problem_counts(inst)
     assert both_paths(inst) == ({quads}, {collisions})
     return quads, collisions
 
@@ -437,15 +421,14 @@ def test_dense_and_sparse_paths_match_chain_problems():
         b_set=(1, 2, 5, 6),
         pairs=((3, 1), (3, 2), (3, 5), (3, 6), (5, 1), (5, 6)),
     )
-    checked_both_paths(wrap)
+    checked_both_paths(reduce_to_difference_injective(wrap))
     rng = random.Random(61)
     kinds = set()
     for _ in range(200):
-        raw = random_instance(rng, max_side=8)
-        kinds.add(raw.group.modulus is not None)
-        checked_both_paths(raw)
-        checked_both_paths(reduce_to_difference_injective(raw))
-        measured_widths(raw)
+        inst = reduce_to_difference_injective(random_instance(rng, max_side=8))
+        kinds.add(inst.group.modulus is not None)
+        checked_both_paths(inst)
+        measured_widths(inst)
     assert kinds == {False, True}
 
 
@@ -458,16 +441,22 @@ def test_dense_and_sparse_paths_edge_shapes():
     pairs = tuple((i, k - 1 - i) for i in range(k))
     matching = Instance(group=Z, a_set=range(k), b_set=range(k), pairs=pairs)
     assert checked_both_paths(matching) == (k * k, k)
-    # a path: a_i meets b_i and b_(i+1), over Z and wrapping round Z/30
-    for group in (Z, AmbientGroup.integers_mod(30)):
-        universe, rows = range(30), 29 + (group.modulus is not None)
-        path = Instance(
+    # rows of 12 partners that share all their sums: row a = 6i meets
+    # b = c - a for each c in {-6..5}, so the differences 2a - c are
+    # distinct, and neighbouring rows share 6 partners; over Z and round
+    # Z/108, where a row's sums wrap
+    for group in (Z, AmbientGroup.integers_mod(108)):
+        pairs = sorted({(6 * i, group.canon(c - 6 * i)) for i in range(8) for c in range(-6, 6)})
+        rows = Instance(
             group=group,
-            a_set=universe,
-            b_set=universe,
-            pairs=tuple((i, (i + j) % 30) for i in range(rows) for j in (0, 1)),
+            a_set=range(0, 48, 6),
+            b_set=sorted({b for _, b in pairs}),
+            pairs=tuple(pairs),
         )
-        checked_both_paths(path)
+        sums = [[group.add(a, b) for b in ys] for a, ys in rows.partners().items()]
+        assert all(len(row) == 12 for row in sums)
+        assert any(row != sorted(row) for row in sums) == (group.modulus is not None)
+        assert checked_both_paths(rows) == (25344, 1908)
 
 
 def test_quad_kernels_ignore_the_numbering_of_partner_ids():
@@ -477,9 +466,9 @@ def test_quad_kernels_ignore_the_numbering_of_partner_ids():
     rng = random.Random(83)
     draws = [build_example_two(2)] + [random_instance(rng, max_side=8) for _ in range(100)]
     multi = 0
-    for inst in draws:
+    for inst in map(reduce_to_difference_injective, draws):
         quads = chain_count_dp(linked_quad_problem(inst))
-        walk = proofs._id_rows(inst, 1, one_per_difference=False)
+        walk = proofs._id_rows(inst, 1)
         renumber = list(range(walk.partners))
         rng.shuffle(renumber)
         shuffled = walk._replace(
@@ -516,7 +505,7 @@ def measured_widths(inst: Instance) -> tuple[int, int, int]:
     # c1, then n3 at F3's width, then the skew fibers, each forced packed
     widths = []
     for k, kernel in ((1, proofs._linked_quads), (2, proofs._skew_collisions)):
-        walk = proofs._id_rows(inst, k, one_per_difference=False)
+        walk = proofs._id_rows(inst, k)
         with recorded_widths() as taken:
             kernel(walk._replace(wedges=10**18))
         widths += taken
@@ -542,18 +531,25 @@ def test_packed_fields_at_their_width_edges():
         )
         assert measured_widths(inst) == (first, 16, 8)
         assert checked_both_paths(inst)[0] == 12 * k * k - 8 * k + 1
-    # (Z/m) x {0..d-1}: every sum fiber is d and every column degree m, and
-    # F3[b][b2] sums d over all m rows, so it reaches fiber * degree; the
-    # first wedge (a, b, b2) heads d - |b - b2| chains, times F3 = m * d
-    for m, d, wide in ((51, 5, 8), (64, 4, 16)):
-        grid = Instance(
-            group=AmbientGroup.integers_mod(m),
-            a_set=range(m),
-            b_set=range(d),
-            pairs=tuple((a, b) for a in range(m) for b in range(d)),
+    # r rows a in P = {4^i : i < r}, each meeting b = c - a for every c in
+    # P, plus two lone pairs, so 17 or 18 rows ask F3 for 16 bits: the
+    # differences 2a - c are distinct (their 2-adic valuations tell them
+    # apart), every sum fiber is r and the partner 0 is in all r rows, so
+    # F3[0][0] = r * r reaches fiber * degree, 225 or 256.  Each row heads
+    # r^2 (3r - 2) quads and each wedge collides only with itself
+    for r, wide in ((15, 8), (16, 16)):
+        powers = [4**i for i in range(r)]
+        pairs = [(a, c - a) for a in powers for c in powers]
+        pairs += [(10**12 + 2 * j, 10**11 + j) for j in range(2)]
+        inst = Instance(
+            group=Z,
+            a_set=sorted({a for a, _ in pairs}),
+            b_set=sorted({b for _, b in pairs}),
+            pairs=tuple(sorted(pairs)),
         )
-        assert measured_widths(grid) == (8, wide, 8)
-        assert checked_both_paths(grid)[0] == m**2 * d**2 * (2 * d * d + 1) // 3
+        assert len(inst.partners()) == r + 2
+        assert measured_widths(inst) == (8, wide, 8)
+        assert checked_both_paths(inst) == (r**3 * (3 * r - 2) + 2, r**3 + 2)
     # f rows a with partner -a share the sum 0, and the first `degree` rows
     # also meet 10**6: fiber * degree is 255 * 257 = 65535 (16 bits, where
     # 257 rows ask for 32) or 256 * 256 = 65536
@@ -572,22 +568,24 @@ def test_packed_fields_at_their_width_edges():
         )
         assert measured_widths(inst) == (first, wide, 8)
         checked_both_paths(inst)
-    # Z/256, A the 128 even residues, N(a) = {0, beta, beta + 128} with
-    # a + 2*beta = 0, the last row short of beta + 128 when dropped: the
-    # skew label 0 repeats within a row, so its fiber counts 256 - dropped
-    # pairs, and its field at partner 0, in every row, reaches that fiber
-    m = 256
-    for dropped, skew, collisions in ((1, 8, 66418), (0, 16, 66937)):
+    # Z/1024, A the 128 residues a = 2t below 512 with t odd, N(a) = {0,
+    # beta, beta + 512} with beta = 512 - t, so a + 2*beta = 0, the last row
+    # short of beta + 512 when dropped: the differences 2t and the two lifts
+    # of 3t mod 512 are distinct, since 2t is even and 3t odd.  The skew
+    # label 0 repeats within a row, so its fiber counts 256 - dropped pairs,
+    # and its field at partner 0, in every row, reaches that fiber
+    m = 1024
+    for dropped, skew, collisions in ((1, 8, 66425), (0, 16, 66944)):
         pairs = []
-        for a in range(0, m, 2):
-            beta = (-a // 2) % 128
-            row = {0, beta, beta + 128}
-            if dropped and a == m - 2:
-                row.discard(beta + 128)
-            pairs += [(a, b) for b in sorted(row)]
+        for t in range(1, 256, 2):
+            beta = 512 - t
+            row = {0, beta, beta + 512}
+            if dropped and t == 255:
+                row.discard(beta + 512)
+            pairs += [(2 * t, b) for b in sorted(row)]
         inst = Instance(
             group=AmbientGroup.integers_mod(m),
-            a_set=range(0, m, 2),
+            a_set=range(2, 512, 4),
             b_set=range(m),
             pairs=tuple(pairs),
         )
@@ -611,18 +609,18 @@ def test_field_width_counts_the_rows_only_where_the_ends_differ_past_8_bits():
     The gate only saves time: every width is the same with the rows always
     counted."""
     cases = (
-        (build_example_one(5), count_linked_quads, [8, 16], []),
-        (build_example_two(4), count_linked_quads, [8, 16], [1, 0]),
-        (build_example_two(4), count_skew_collisions, [8], [1]),
+        (build_example_one(5), verify_three_slice_chain, [8, 16], []),
+        (build_example_two(4), verify_three_slice_chain, [8, 16], [1, 0]),
+        (build_example_two(4), verify_four_slice_chain, [8], [1]),
     )
     count = proofs._largest_fiber
-    for inst, kernel, widths, columns in cases:
+    for inst, verify, widths, columns in cases:
         counted = []
         with pytest.MonkeyPatch.context() as patch, recorded_widths() as taken:
             patch.setattr(
                 proofs, "_largest_fiber", lambda rows, c: counted.append(c) or count(rows, c)
             )
-            kernel(inst)
+            verify(inst, UNBOUNDED)
         assert (taken, counted) == (widths, columns)
 
 
@@ -713,38 +711,33 @@ def test_k7_constrained_optima_hold_both_ladders():
 
 
 def test_dense_rule_reads_the_slice_sizes():
-    """The tensors the ladder benchmark runs fit their packed tables; a
-    5,000-pair matching (75M quad slots, 5,000 wedges) does not."""
+    """The ladders read the rule's sizes off their own walk over G.  The
+    tensors the ladder benchmark runs fit their packed tables; a 5,000-pair
+    matching (75M quad slots, 5,000 wedges) does not."""
     k = 5000
     matching = Instance(
-        group=Z, a_set=range(k), b_set=range(k), pairs=tuple((i, i) for i in range(k))
+        group=Z,
+        a_set=range(k),
+        b_set=range(0, 2 * k, 2),
+        pairs=tuple((i, 2 * i) for i in range(k)),
     )
-    ex2 = build_example_two(4)
     for inst, forms in (
         # example one's skew labels a+2b are all distinct: 7,776 x 243 slots > 12^5 wedges
         (build_example_one(5), ["packed", "dict"]),
-        (ex2, ["packed", "packed"]),
+        (build_example_two(4), ["packed", "packed"]),
         (matching, ["dict", "dict"]),
     ):
-        assert forms_taken(
-            lambda: count_linked_quads(inst), lambda: count_skew_collisions(inst)
-        ) == forms
-    # the ladders read the same sizes off their own walk over G
-    assert forms_taken(
-        lambda: verify_three_slice_chain(ex2, 4**4), lambda: verify_four_slice_chain(ex2, 4**4)
-    ) == ["packed", "packed"]
+        assert forms_taken(*both_ladders(inst)) == forms
     # 18 pairs, 82 wedges: 399 quad slots, under 12 per wedge, go packed;
     # 45 collision slots and the rule's charge per pair, 45 + 2 * 18, stay
     # under 3 * 82, so the collisions go packed too
     small = reduce_to_difference_injective(random_instance(random.Random(33)))
-    sums = proofs._id_rows(small, 1, one_per_difference=False)
-    skew = proofs._id_rows(small, 2, one_per_difference=False)
+    sums = proofs._id_rows(small, 1)
+    skew = proofs._id_rows(small, 2)
     assert (skew.pairs, skew.wedges) == (18, 82)
     c, d, b = sums.labels, skew.labels, skew.partners
     assert (c * c + c * b + b * b, d * b) == (399, 45)
-    assert forms_taken(
-        lambda: count_linked_quads(small), lambda: count_skew_collisions(small)
-    ) == ["packed", "packed"]
+    assert forms_taken(*both_ladders(small)) == ["packed", "packed"]
     # one seeded instance on each side of the collision boundary: 10 x 10
     # slots + 2 * 11 pairs is one under 3 * 41 wedges, and 7 x 7 + 2 * 7
     # meets 3 * 21
@@ -753,9 +746,9 @@ def test_dense_rule_reads_the_slice_sizes():
         (1253, (7, 7, 7, 21), "dict"),
     ):
         inst = reduce_to_difference_injective(random_instance(random.Random(seed)))
-        skew = proofs._id_rows(inst, 2, one_per_difference=False)
+        skew = proofs._id_rows(inst, 2)
         assert (skew.labels, skew.partners, skew.pairs, skew.wedges) == sizes
-        assert forms_taken(lambda: count_skew_collisions(inst)) == [form]
+        assert forms_taken(both_ladders(inst)[1]) == [form]
 
 
 def exhaustive_round_trip(inst: Instance) -> tuple[int, int]:
@@ -805,10 +798,7 @@ def test_round_trip_random_reduced():
         if not inst.pairs or wedge_count(inst) > 30:
             continue
         checked += 1
-        assert exhaustive_round_trip(inst) == (
-            count_linked_quads(inst),
-            count_skew_collisions(inst),
-        )
+        assert exhaustive_round_trip(inst) == ladder_counts(inst)
 
 
 def test_reconstruction_domain_is_exactly_the_image():

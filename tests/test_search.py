@@ -178,8 +178,8 @@ def test_search_spec_validation():
         SearchSpec(alphabet_max=-1)
     with pytest.raises(ValueError):
         SearchSpec(alphabet_max=3, mode="greedy")
-    with pytest.raises(ValueError):
-        SearchSpec(alphabet_max=5, mode="exhaustive")  # 36 cells > 25
+    # exhaustive mode walks the pruned tree, so it has no alphabet limit of its own
+    SearchSpec(alphabet_max=5, mode="exhaustive")
     SearchSpec(alphabet_max=5, mode="branch-bound")
     for budget in (0, -5):
         with pytest.raises(ValueError):
@@ -253,7 +253,7 @@ def test_exhaustive_node_counts_follow_the_group_sizes():
     1 + (1 + s_1) * (nodes below s_2..s_m) nodes, and a leaf is one node.
     """
     counts = []
-    for k in range(5):
+    for k in range(6):
         expected = 1
         for diagonal in range(k, -k - 1, -1):
             cells = k + 1 - abs(diagonal)
@@ -263,7 +263,11 @@ def test_exhaustive_node_counts_follow_the_group_sizes():
             result = search(SearchSpec(alphabet_max=k, constrain_d=constrain_d))
             assert result.exhaustive
             assert result.nodes_explored == expected
-    assert counts[3:] == [frozen.K3_EXHAUSTIVE_NODES, frozen.K4_EXHAUSTIVE_NODES]
+    assert counts[3:] == [
+        frozen.K3_EXHAUSTIVE_NODES,
+        frozen.K4_EXHAUSTIVE_NODES,
+        frozen.K5_EXHAUSTIVE_NODES,
+    ]
     # with one cell per group, every node has two children
     for k in range(3):
         for constrain_d in (False, True):
@@ -313,6 +317,22 @@ def test_k5_branch_bound_frozen_optimum():
             max_slice(witness.pairs, witness.constrain_d),
         ) == frozen.K5_BEST_SCORE
     assert certify(result, spec).ok
+
+
+def test_k5_exhaustive_finds_the_branch_bound_optima():
+    """Exhaustive mode at K=5 reports the full tree and, in both slice sets,
+    the best score and witnesses that branch-bound froze."""
+    for constrain_d, score, witnesses in (
+        (False, frozen.K5_BEST_SCORE, frozen.K5_WITNESSES),
+        (True, frozen.K5_CONSTRAINED_BEST_SCORE, frozen.K5_CONSTRAINED_WITNESSES),
+    ):
+        spec = SearchSpec(alphabet_max=5, constrain_d=constrain_d, mode="exhaustive")
+        result = search(spec)
+        assert result.exhaustive
+        assert result.nodes_explored == frozen.K5_EXHAUSTIVE_NODES
+        assert result.best_score == score
+        assert {w.pairs for w in result.witnesses} == witnesses
+        assert certify(result, spec).ok
 
 
 def test_k6_branch_bound_frozen_optimum():
