@@ -42,6 +42,8 @@ class DigitPattern:
     constrain_d: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.constrain_d, bool):
+            raise ValueError("constrain_d must be a boolean")
         cleaned = set()
         for pair in self.pairs:
             if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
@@ -55,6 +57,20 @@ class DigitPattern:
         if not cleaned:
             raise ValueError("pattern must contain at least one pair")
         object.__setattr__(self, "pairs", tuple(sorted(cleaned)))
+
+    @classmethod
+    def _unchecked(
+        cls, pairs: tuple[tuple[int, int], ...], constrain_d: bool
+    ) -> "DigitPattern":
+        """A pattern from pairs already in stored form: distinct 2-tuples of
+        nonnegative ints, sorted, and a bool constrain_d.
+
+        __post_init__ is skipped, so the caller vouches for every check it
+        would make.
+        """
+        pattern = object.__new__(cls)
+        pattern.__dict__.update(pairs=pairs, constrain_d=constrain_d)
+        return pattern
 
     # Slices are recomputed on demand, never stored, so they cannot go stale.
     @property
@@ -83,12 +99,9 @@ class DigitPattern:
     def from_json_dict(cls, obj: object) -> "DigitPattern":
         if not isinstance(obj, dict) or "pairs" not in obj:
             raise ValueError("pattern document must be an object with a 'pairs' key")
-        constrain = obj.get("constrain_d", False)
-        if not isinstance(constrain, bool):
-            raise ValueError("constrain_d must be a boolean")
         return cls(
             pairs=tuple(tuple(p) if isinstance(p, list) else p for p in obj["pairs"]),
-            constrain_d=constrain,
+            constrain_d=obj.get("constrain_d", False),
         )
 
 

@@ -45,9 +45,16 @@ beats the incumbent at max slice t.  A score falls as its max slice rises,
 so need never falls; one sweep of compare_scores, memoized per incumbent,
 refills it when the incumbent rises, and it grows a max slice at a time as
 the walk reaches one.  Prunes, cuts and leaves each read one entry; only
-recording a leaf asks for the exact sign.  Only a leaf that ties or beats
-the incumbent is canonicalized, and only a new tie class is built as a
-pattern.
+recording a leaf asks for the exact sign.  A leaf that beats the incumbent
+is canonicalized at once; a leaf that ties it only when it touches x = 0
+and y = 0, which is one AND of the occupancy with the bits of value 0 in
+the A and B blocks.  The walk reaches every tie class at that origin
+translate: translation keeps every slice size, the translate lies in the
+box, and the prune drops only subtrees that could not tie.  Any other
+tying leaf's chain goes on a list, cleared when the incumbent rises and
+canonicalized only when the budget cuts the walk, since a cut walk may
+not reach the origin translate.  Only a new tie class is built as a
+pattern, from its canonical pairs without the constructor's checks.
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,18 +86,13 @@ _WITNESS_CAP = 64  # witnesses kept in a result, least first
 _GROUP_LIMIT = 256
 
 
-def _normalized(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
-    mx = min(x for x, _ in pairs)
-    my = min(y for _, y in pairs)
-    return tuple(sorted((x - mx, y - my) for x, y in pairs))
-
-
-def _canonical_pairs(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+def _canonical_pairs(pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """The least of the distinct cells and their joint reflection, both at the origin."""
-    base = _normalized(pairs)
-    top_x = max(x for x, _ in base)
-    top_y = max(y for _, y in base)
-    return min(base, _normalized(tuple((top_x - x, top_y - y) for x, y in base)))
+    xs, ys = zip(*pairs)
+    low_x, low_y, high_x, high_y = min(xs), min(ys), max(xs), max(ys)
+    base = tuple(sorted(zip([x - low_x for x in xs], [y - low_y for y in ys])))
+    mirror = tuple(sorted(zip([high_x - x for x in xs], [high_y - y for y in ys])))
+    return min(base, mirror)
 
 
 def canonicalize(pattern: DigitPattern) -> DigitPattern:
@@ -99,7 +102,7 @@ def canonicalize(pattern: DigitPattern) -> DigitPattern:
     reflection of both coordinates inside the pattern's bounding box.  All of
     these preserve the slice sizes and difference injectivity.
     """
-    return DigitPattern(_canonical_pairs(pattern.pairs), pattern.constrain_d)
+    return DigitPattern._unchecked(_canonical_pairs(pattern.pairs), pattern.constrain_d)
 
 
 def _integer_root(n: int, k: int) -> int:
@@ -201,6 +204,15 @@ class SearchSpec:
     require_difference_injective: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("alphabet_max", "node_budget"):
+            value = getattr(self, name)
+            if value is None and name == "node_budget":
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        for name in ("constrain_d", "require_difference_injective"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a boolean, got {getattr(self, name)!r}")
         if self.alphabet_max < 0:
             raise ValueError("alphabet_max must be >= 0")
         if self.mode not in ("exhaustive", "branch-bound"):
@@ -344,25 +356,41 @@ def search(spec: SearchSpec) -> SearchResult:
     verdict = lambda count, top: 1
     need = [0, 0, 1]
     ties: dict[tuple[tuple[int, int], ...], DigitPattern] = {}  # by canonical pairs
+    # chains of the tying leaves since the incumbent last rose that miss
+    # x = 0 or y = 0, read only if the budget cuts the walk
+    deferred: list = []
+    # the bits of value 0 in the A and B blocks (budgeted_slices lists A
+    # and B first): a leaf touches x = 0 and y = 0 when it holds both
+    origin = 1 << blocks[0][0] | 1 << blocks[1][0]
 
-    def record(score: tuple[int, int], chain) -> None:
-        # only ties and new bests are canonicalized: scores are
-        # symmetry-invariant and best only rises, so a class that lost
-        # once can never tie later.  Nothing past the budget is recorded.
-        nonlocal best, ties, verdict
-        if nodes > limit:
-            return
+    def add_class(chain) -> None:
         pairs = []
         while chain:
             cell, chain = chain
             pairs.append(cell)
-        key = _canonical_pairs(tuple(pairs))
-        if verdict(*score) > 0:
-            best, ties = score, {}
+        key = _canonical_pairs(pairs)
+        if key not in ties:
+            ties[key] = DigitPattern._unchecked(key, spec.constrain_d)
+
+    def record(score: tuple[int, int], occ: int, chain) -> None:
+        # only ties and new bests are recorded: scores are symmetry-invariant
+        # and best only rises, so a class that lost once can never tie later.
+        # A tie off the origin waits, as the module docstring says.  Nothing
+        # past the budget is recorded.
+        nonlocal best, verdict
+        if nodes > limit:
+            return
+        sign = verdict(*score)
+        if not sign and occ & origin != origin:
+            deferred.append(chain)
+            return
+        if sign > 0:
+            best = score
+            ties.clear()
+            deferred.clear()
             verdict = functools.cache(lambda c, t: compare_scores(c, t, *score))
             need[:] = _thresholds(verdict, [0, 0], len(need), last)
-        if key not in ties:
-            ties[key] = DigitPattern(key, spec.constrain_d)
+        add_class(chain)
 
     def expand(index: int, occ: int, sizes: int, top: int, size: int, chain) -> bool:
         """Count and visit a node entered by a cell (or the root); True past the budget.
@@ -397,13 +425,13 @@ def search(spec: SearchSpec) -> SearchResult:
             nodes += 1
             count = (occ & differences).bit_count() if differences else size
             if top >= 2 and count >= need[top]:
-                record((count, top), chain)
+                record((count, top), occ, chain)
             nodes += 1
             top_with = top + 1 if last_bits & rises else top
             with_last = occ | last_bits
             count = (with_last & differences).bit_count() if differences else size + 1
             if top_with >= 2 and count >= need[top_with]:
-                record((count, top_with), (last_cell, chain))
+                record((count, top_with), with_last, (last_cell, chain))
             node -= 1
         # then the cell children of each chain node, deepest first.  One
         # that keeps the max needs no threshold: need[top] admitted its
@@ -440,6 +468,10 @@ def search(spec: SearchSpec) -> SearchResult:
         return nodes > limit
 
     exhausted = expand(0, 0, 0, 0, 0, ())
+    if exhausted:
+        # the cut may come before the walk reaches these classes' origin translates
+        for chain in deferred:
+            add_class(chain)
     witnesses = sorted(ties.values(), key=lambda p: (len(p.pairs), p.pairs))
     # a budget crossed inside a counted subtree stops the full walk there
     # too, at node limit + 1 and with the same incumbent

@@ -31,6 +31,10 @@ def test_pattern_validation():
         DigitPattern(pairs=((-1, 0),))
     p = DigitPattern(pairs=((1, 2), (0, 0), (1, 2)))
     assert p.pairs == ((0, 0), (1, 2))
+    # constrain_d takes the rule from_json_dict applies
+    for flag in (1, "no", None):
+        with pytest.raises(ValueError, match="constrain_d must be a boolean"):
+            DigitPattern(pairs=((0, 0),), constrain_d=flag)
 
 
 def test_example_one_pattern_frozen():

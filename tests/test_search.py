@@ -51,6 +51,8 @@ def test_canonicalize_idempotent_and_orbit_invariant():
         p = DigitPattern(pairs=tuple(cells))
         c = canonicalize(p)
         assert canonicalize(c) == c
+        # built unchecked, it is already in the checked constructor's form
+        assert c == DigitPattern(c.pairs) and hash(c) == hash(DigitPattern(c.pairs))
         # translations land on the same representative
         dx, dy = rng.randrange(4), rng.randrange(4)
         shifted = DigitPattern(pairs=tuple((x + dx, y + dy) for x, y in p.pairs))
@@ -184,6 +186,22 @@ def test_search_spec_validation():
     for budget in (0, -5):
         with pytest.raises(ValueError):
             SearchSpec(alphabet_max=2, node_budget=budget)
+    # values of the wrong type: a float budget used to count 3.5 nodes, a
+    # float alphabet failed later in range, a truthy string ran four slices
+    # and True ran K=1
+    for wrong in (
+        {"alphabet_max": 2.5},
+        {"alphabet_max": True},
+        {"alphabet_max": "3"},
+        {"alphabet_max": None},
+        {"alphabet_max": 2, "node_budget": 2.5},
+        {"alphabet_max": 2, "node_budget": True},
+        {"alphabet_max": 2, "constrain_d": "no"},
+        {"alphabet_max": 2, "constrain_d": 1},
+        {"alphabet_max": 2, "require_difference_injective": None},
+    ):
+        with pytest.raises(ValueError):
+            SearchSpec(**wrong)
 
 
 def test_degenerate_alphabet():
@@ -405,6 +423,47 @@ def test_walk_compares_each_score_once_per_incumbent(monkeypatch):
     # the walk resolves compare_scores through the module, and never asks
     # the same question twice
     assert 0 < len(calls) == len(set(calls)) < 100
+
+
+def test_walk_canonicalizes_only_origin_ties_and_new_bests(monkeypatch):
+    """A tying leaf that misses x = 0 or y = 0 is not canonicalized.
+
+    A completed walk reaches each tie class at its origin translate, so
+    every leaf canonicalized either touches both axes or raised the best.
+    """
+    canonical = search_module._canonical_pairs
+    for spec, nodes, witnesses in (
+        (
+            SearchSpec(alphabet_max=4, constrain_d=True, mode="branch-bound"),
+            frozen.K4_BRANCH_BOUND_NODES,
+            frozen.K4_WITNESSES,
+        ),
+        (
+            SearchSpec(alphabet_max=5, mode="branch-bound"),
+            frozen.K5_BRANCH_BOUND_NODES,
+            frozen.K5_WITNESSES,
+        ),
+    ):
+        inputs = []
+        monkeypatch.setattr(
+            search_module,
+            "_canonical_pairs",
+            lambda pairs: inputs.append(tuple(pairs)) or canonical(pairs),
+        )
+        result = search(spec)
+        monkeypatch.undo()
+        assert result.nodes_explored == nodes
+        assert {w.pairs for w in result.witnesses} == witnesses
+        best = None
+        for cells in inputs:
+            score = (len({x - y for x, y in cells}), max_slice(cells, spec.constrain_d))
+            raised = best is None or compare_scores(*score, *best) > 0
+            at_origin = min(x for x, _ in cells) == 0 == min(y for _, y in cells)
+            assert raised or at_origin, (spec, cells)
+            assert raised or compare_scores(*score, *best) == 0
+            if raised:
+                best = score
+        assert best == result.best_score
 
 
 def test_threshold_sweep_matches_compare_scores():
