@@ -210,13 +210,17 @@ def slice_sizes(inst: Instance, with_d: bool = False) -> dict[str, int]:
 
 
 def require_hypotheses(inst: Instance, budget: int, with_d: bool = False) -> dict[str, int]:
-    """slice_sizes, but raise HypothesisViolated when any slice exceeds budget."""
+    """slice_sizes, but raise HypothesisViolated when any slice exceeds
+    budget, and ValueError when budget is not an int >= 1."""
     return _within_budget(slice_sizes(inst, with_d=with_d), budget)
 
 
 def _within_budget(sizes: dict[str, int], budget: int) -> dict[str, int]:
-    """sizes, in slice order, once budget >= 1 (else ValueError) and no size
-    exceeds it (else HypothesisViolated naming the slices above it)."""
+    """sizes, in slice order, once budget is an int >= 1 (else ValueError;
+    a bool is no budget) and no size exceeds it (else HypothesisViolated
+    naming the slices above it)."""
+    if isinstance(budget, bool) or not isinstance(budget, int):
+        raise ValueError(f"budget must be an int, got {budget!r}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     failed = sorted(name for name, size in sizes.items() if size > budget)

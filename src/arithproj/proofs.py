@@ -19,10 +19,13 @@ Both "determined by" claims are realized as explicit reconstruction
 functions in the test oracles (tests/oracles.py), so injectivity is
 checked by execution rather than argued.
 
-Every verdict is an integer comparison: an Inequality keeps its left side
-as a numerator over a positive denominator and its right side as an
-integer, and cross-multiplies, so x <= N^(p/q) is x**q <= N**p; its
-Fraction sides are built only when read.
+Every verdict is an integer comparison: each ladder step is one integer
+row (name, lhs_num, rhs_num, lhs_den), a left side as a numerator over a
+positive denominator and a right side as an integer, and the verdict
+cross-multiplies, so x <= N^(p/q) is x**q <= N**p.  A ChainReport keeps
+the rows and decides all_hold on them; it builds its Inequality objects,
+and their Fraction sides, only when output reads them.  A budget is a
+plain int: a bool, a float or any other type raises ValueError.
 
 The ladder counts stream: each verify_* ladder makes one forward walk
 over the sorted pairs of G that numbers its rows, and its count runs the
@@ -82,6 +85,7 @@ from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
@@ -179,13 +183,13 @@ def _id_rows(inst: Instance, k: int) -> _IdRows:
         ys.append(partner_id[b])
         ids.append(label_id.setdefault(s, len(label_id)))
     return _IdRows(
-        rows=rows,
-        pairs=len(differences),
-        wedges=sum(len(ys) ** 2 for ys, _ in rows),
-        labels=len(label_id),
-        sums=len(sums) if k != 1 else len(label_id),
-        partners=len(partner_id),
-        largest={},
+        rows,
+        len(differences),
+        sum(len(ys) ** 2 for ys, _ in rows),
+        len(label_id),
+        len(sums) if k != 1 else len(label_id),
+        len(partner_id),
+        {},
     )
 
 
@@ -402,7 +406,8 @@ class Inequality:
     right side.
 
     holds is decided on the integers, lhs_num <= rhs_num * lhs_den; the
-    Fraction sides lhs, rhs and slack are built only when read.
+    Fraction sides lhs, rhs and slack are built only when read.  A bool or
+    non-int term, or a denominator below 1, raises ValueError.
     """
 
     name: str
@@ -412,6 +417,9 @@ class Inequality:
     holds: bool = field(init=False)
 
     def __post_init__(self) -> None:
+        for term in (self.lhs_num, self.rhs_num, self.lhs_den):
+            if isinstance(term, bool) or not isinstance(term, int):
+                raise ValueError(f"{self.name}: every term must be an int, got {term!r}")
         if self.lhs_den < 1:
             raise ValueError(f"{self.name}: the denominator must be >= 1")
         self.holds = self.lhs_num <= self.rhs_num * self.lhs_den
@@ -439,15 +447,35 @@ class Inequality:
         }
 
 
+# one ladder step as plain integers: (name, lhs_num, rhs_num, lhs_den)
+_Step = tuple[str, int, int, int]
+
+
 @dataclass(frozen=True)
 class ChainReport:
+    """A ladder's verdict on one budget.
+
+    steps holds one integer row (name, lhs_num, rhs_num, lhs_den) per step,
+    the arguments of its Inequality, and all_hold compares the rows'
+    integers, lhs_num <= rhs_num * lhs_den.  inequalities builds the
+    Inequality objects from the rows the first time it is read and keeps
+    them.
+    """
+
     budget: int
     cardinalities: dict[str, int]
-    inequalities: tuple[Inequality, ...]
+    steps: tuple[_Step, ...]
 
     @property
     def all_hold(self) -> bool:
-        return all(ineq.holds for ineq in self.inequalities)
+        for _, lhs_num, rhs_num, lhs_den in self.steps:
+            if lhs_num > rhs_num * lhs_den:
+                return False
+        return True
+
+    @cached_property
+    def inequalities(self) -> tuple[Inequality, ...]:
+        return tuple(Inequality(*step) for step in self.steps)
 
     def to_json_dict(self) -> dict:
         return {
@@ -460,14 +488,15 @@ class ChainReport:
 
 def _ladder_walk(inst: Instance, k: int, budget: int, cap: int) -> _IdRows:
     """The numbered rows of the difference-injective reduction of inst, with
-    labels a + k*b, once budget bounds #A, #B, #C and, for k = 2, #D (else
-    ValueError or HypothesisViolated) and cap bounds the wedges (else
-    EnumerationCapExceeded)."""
+    labels a + k*b, once budget is an int that bounds #A, #B, #C and, for
+    k = 2, #D (else ValueError or HypothesisViolated) and cap bounds the
+    wedges (else EnumerationCapExceeded).  The sizes dict that names a
+    failed hypothesis is built only when a check fails."""
     walk = _id_rows(inst, k)
-    sizes = {"A": len(inst.a_set), "B": walk.partners, "C": walk.sums}
-    if k == 2:
-        sizes["D"] = walk.labels
-    _within_budget(sizes, budget)
+    sizes = (len(inst.a_set), walk.partners, walk.sums) + ((walk.labels,) if k == 2 else ())
+    # A is nonempty, so a budget below 1 is below the largest size too
+    if type(budget) is not int or budget < max(sizes):
+        _within_budget(dict(zip("ABCD", sizes)), budget)
     _check_cap(walk.wedges, cap)
     return walk
 
@@ -477,33 +506,29 @@ def verify_three_slice_chain(
 ) -> ChainReport:
     """Run the 11/6 ladder on the difference-injective reduction of inst.
 
-    Requires #A, #B <= budget and #C <= budget on the reduced instance.
-    The quad lower bound appears twice: once against budget powers and once
-    against the actual ambient label sizes, which is sharper.
+    Requires an int budget with #A, #B <= budget and #C <= budget on the
+    reduced instance.  The quad lower bound appears twice: once against
+    budget powers and once against the actual ambient label sizes, which is
+    sharper.
     """
     walk = _ladder_walk(inst, 1, budget, cap)
     relation, wedges, c_size, b_size = walk.pairs, walk.wedges, walk.sums, walk.partners
     quads = _linked_quads(walk)
     n = budget
-    inequalities = (
-        Inequality("wedge-count-lower", relation**2, wedges, lhs_den=n),
-        Inequality("quad-count-lower-budget", wedges**4, quads, lhs_den=n**6),
-        Inequality(
-            "quad-count-lower-exact", wedges**4, quads, lhs_den=max(1, c_size**3 * b_size**3)
-        ),
-        Inequality("quad-count-upper", quads, n**2 * wedges),
-        Inequality("wedge-count-upper", wedges**3, n**8),
-        Inequality(
+    steps = (
+        ("wedge-count-lower", relation**2, wedges, n),
+        ("quad-count-lower-budget", wedges**4, quads, n**6),
+        ("quad-count-lower-exact", wedges**4, quads, max(1, c_size**3 * b_size**3)),
+        ("quad-count-upper", quads, n**2 * wedges, 1),
+        ("wedge-count-upper", wedges**3, n**8, 1),
+        (
             "difference-count-upper",
             relation**THREE_SLICE_EXPONENT.denominator,
             n**THREE_SLICE_EXPONENT.numerator,
+            1,
         ),
     )
-    return ChainReport(
-        budget=budget,
-        cardinalities={"relation": relation, "wedges": wedges, "quads": quads},
-        inequalities=inequalities,
-    )
+    return ChainReport(budget, {"relation": relation, "wedges": wedges, "quads": quads}, steps)
 
 
 def verify_four_slice_chain(
@@ -511,27 +536,25 @@ def verify_four_slice_chain(
 ) -> ChainReport:
     """Run the 7/4 ladder on the difference-injective reduction of inst.
 
-    Requires #A, #B, #C, #D <= budget on the reduced instance.
+    Requires an int budget with #A, #B, #C, #D <= budget on the reduced
+    instance.
     """
     walk = _ladder_walk(inst, 2, budget, cap)
     relation, wedges, d_size, b_size = walk.pairs, walk.wedges, walk.labels, walk.partners
     collisions = _skew_collisions(walk)
     n = budget
-    inequalities = (
-        Inequality("pair-count-lower-budget", wedges**2, collisions, lhs_den=n**2),
-        Inequality(
-            "pair-count-lower-exact", wedges**2, collisions, lhs_den=max(1, d_size * b_size)
-        ),
-        Inequality("pair-count-upper", collisions, n**3),
-        Inequality("wedge-count-upper", wedges**2, n**5),
-        Inequality(
+    steps = (
+        ("pair-count-lower-budget", wedges**2, collisions, n**2),
+        ("pair-count-lower-exact", wedges**2, collisions, max(1, d_size * b_size)),
+        ("pair-count-upper", collisions, n**3, 1),
+        ("wedge-count-upper", wedges**2, n**5, 1),
+        (
             "difference-count-upper",
             relation**FOUR_SLICE_EXPONENT.denominator,
             n**FOUR_SLICE_EXPONENT.numerator,
+            1,
         ),
     )
     return ChainReport(
-        budget=budget,
-        cardinalities={"relation": relation, "wedges": wedges, "collisions": collisions},
-        inequalities=inequalities,
+        budget, {"relation": relation, "wedges": wedges, "collisions": collisions}, steps
     )

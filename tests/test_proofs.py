@@ -274,26 +274,26 @@ def reference_report(inst: Instance, budget: int, cap: int, with_d: bool) -> Cha
     relation, n, b = len(reduced.pairs), budget, sizes["B"]
     if not with_d:
         quads, c = chain_count_dp(linked_quad_problem(reduced)), sizes["C"]
-        inequalities = (
-            Inequality("wedge-count-lower", relation**2, wedges, lhs_den=n),
-            Inequality("quad-count-lower-budget", wedges**4, quads, lhs_den=n**6),
-            Inequality("quad-count-lower-exact", wedges**4, quads, lhs_den=max(1, c**3 * b**3)),
-            Inequality("quad-count-upper", quads, n**2 * wedges),
-            Inequality("wedge-count-upper", wedges**3, n**8),
-            Inequality("difference-count-upper", relation**6, n**11),
+        steps = (
+            ("wedge-count-lower", relation**2, wedges, n),
+            ("quad-count-lower-budget", wedges**4, quads, n**6),
+            ("quad-count-lower-exact", wedges**4, quads, max(1, c**3 * b**3)),
+            ("quad-count-upper", quads, n**2 * wedges, 1),
+            ("wedge-count-upper", wedges**3, n**8, 1),
+            ("difference-count-upper", relation**6, n**11, 1),
         )
         cards = {"relation": relation, "wedges": wedges, "quads": quads}
-        return ChainReport(budget, cards, inequalities)
+        return ChainReport(budget, cards, steps)
     collisions, d = chain_count_dp(skew_collision_problem(reduced)), sizes["D"]
-    inequalities = (
-        Inequality("pair-count-lower-budget", wedges**2, collisions, lhs_den=n**2),
-        Inequality("pair-count-lower-exact", wedges**2, collisions, lhs_den=max(1, d * b)),
-        Inequality("pair-count-upper", collisions, n**3),
-        Inequality("wedge-count-upper", wedges**2, n**5),
-        Inequality("difference-count-upper", relation**4, n**7),
+    steps = (
+        ("pair-count-lower-budget", wedges**2, collisions, n**2),
+        ("pair-count-lower-exact", wedges**2, collisions, max(1, d * b)),
+        ("pair-count-upper", collisions, n**3, 1),
+        ("wedge-count-upper", wedges**2, n**5, 1),
+        ("difference-count-upper", relation**4, n**7, 1),
     )
     cards = {"relation": relation, "wedges": wedges, "collisions": collisions}
-    return ChainReport(budget, cards, inequalities)
+    return ChainReport(budget, cards, steps)
 
 
 def outcome(call) -> object:
@@ -898,6 +898,71 @@ def test_inequality_fraction_sides():
 def test_inequality_rejects_non_positive_denominators(den):
     with pytest.raises(ValueError):
         Inequality("t", 1, 1, lhs_den=den)
+
+
+@pytest.mark.parametrize(
+    "terms", [(1.0, 1, 1), (1, True, 1), (1, 1, 2.0), ("1", 1, 1), (1, 1, False)]
+)
+def test_inequality_rejects_non_int_terms(terms):
+    with pytest.raises(ValueError, match="must be an int"):
+        Inequality("t", *terms)
+
+
+def test_report_with_one_failing_row_does_not_hold():
+    rows = (("ok", 1, 1, 1), ("tie", 6, 3, 2), ("fails", 7, 3, 2), ("ok-again", 0, 0, 5))
+    report = ChainReport(3, {}, rows)
+    assert not report.all_hold
+    assert [i.holds for i in report.inequalities] == [True, True, False, True]
+    assert ChainReport(3, {}, rows[:2] + rows[3:]).all_hold
+    assert ChainReport(3, {}, ()).all_hold
+
+
+def test_all_hold_reads_the_rows_as_the_inequalities_do():
+    rng = random.Random(71)
+    reports = []
+    for _ in range(60):
+        inst = random_instance(rng, max_side=8)
+        sizes = slice_sizes(reduce_to_difference_injective(inst), with_d=True)
+        n6, n4 = max(sizes["A"], sizes["B"], sizes["C"]), max(sizes.values())
+        for extra in (0, 3):
+            reports.append(verify_three_slice_chain(inst, n6 + extra))
+            reports.append(verify_four_slice_chain(inst, n4 + extra))
+    for report in reports:
+        assert report.all_hold
+        assert report.all_hold == all(i.holds for i in report.inequalities)
+        for step, ineq in zip(report.steps, report.inequalities, strict=True):
+            assert step == (ineq.name, ineq.lhs_num, ineq.rhs_num, ineq.lhs_den)
+        # the same rows with the last one broken by one fail on both sides
+        name, _, rhs_num, _ = report.steps[-1]
+        rows = report.steps[:-1] + ((name, rhs_num + 1, rhs_num, 1),)
+        broken = ChainReport(report.budget, report.cardinalities, rows)
+        assert not broken.all_hold
+        assert not all(i.holds for i in broken.inequalities)
+
+
+def test_inequalities_are_built_once():
+    report = verify_three_slice_chain(build_example_two(2), 16)
+    first = report.inequalities
+    assert report.inequalities is first
+    assert [i.name for i in first] == [name for name, *_ in report.steps]
+    assert report.to_json_dict()["inequalities"] == [i.to_json_dict() for i in first]
+    assert report.inequalities is first
+
+
+@pytest.mark.parametrize("budget", [16.0, 16.5, True, False, "16", None])
+def test_budgets_must_be_ints(budget):
+    inst = build_example_two(2)
+    for call in (
+        lambda b: verify_three_slice_chain(inst, b),
+        lambda b: verify_four_slice_chain(inst, b),
+        lambda b: require_hypotheses(inst, b, with_d=True),
+    ):
+        with pytest.raises(ValueError, match="budget must be an int"):
+            call(budget)
+        with pytest.raises(ValueError, match="budget must be >= 1, got 0"):
+            call(0)
+        # the same ints pass, so only the type decides
+        assert call(16)
 
 
 def test_three_slice_chain_report_shape():
