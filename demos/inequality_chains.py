@@ -21,11 +21,11 @@ from arithproj import (
 
 def show(report, title):
     print(f"-- {title} (N={report.budget}) --")
-    for ineq in report.inequalities:
-        lhs = f"{ineq.lhs.numerator}/{ineq.lhs.denominator}"
-        rhs = f"{ineq.rhs.numerator}/{ineq.rhs.denominator}"
-        mark = "ok" if ineq.holds else "FAIL"
-        print(f"  {ineq.name:<28} {lhs:>14} <= {rhs:<14} {mark}")
+    for step in report.to_json_dict()["inequalities"]:
+        lhs = f"{step['lhs']['num']}/{step['lhs']['den']}"
+        rhs = f"{step['rhs']['num']}/{step['rhs']['den']}"
+        mark = "ok" if step["holds"] else "FAIL"
+        print(f"  {step['name']:<28} {lhs:>14} <= {rhs:<14} {mark}")
     print(f"  all hold: {report.all_hold}")
 
 

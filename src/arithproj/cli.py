@@ -164,15 +164,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         report = verify(inst, budget, cap=args.cap)
         payload[key] = report.to_json_dict()
         all_hold = all_hold and report.all_hold
-        for ineq in report.inequalities:
-            enc = ineq.to_json_dict()
+        for step in payload[key]["inequalities"]:
             rows.append(
                 {
                     "chain": key,
-                    "inequality": ineq.name,
-                    "lhs": _fraction_text(enc["lhs"]),
-                    "rhs": _fraction_text(enc["rhs"]),
-                    "holds": ineq.holds,
+                    "inequality": step["name"],
+                    "lhs": _fraction_text(step["lhs"]),
+                    "rhs": _fraction_text(step["rhs"]),
+                    "holds": step["holds"],
                 }
             )
     payload["all_hold"] = all_hold

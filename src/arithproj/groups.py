@@ -19,13 +19,18 @@ ELEMENT_MAGNITUDE_CAP = 2**63 - 1
 class AmbientGroup:
     """The integers when ``modulus`` is None, else Z/modulus.
 
-    Modular elements are kept canonical in ``range(modulus)``.
+    Modular elements are kept canonical in ``range(modulus)``.  A modulus
+    that is a bool or not an int raises ValueError, as one below 2 does.
     """
 
     modulus: int | None = None
 
     def __post_init__(self) -> None:
-        if self.modulus is not None and self.modulus < 2:
+        if self.modulus is None:
+            return
+        if isinstance(self.modulus, bool) or not isinstance(self.modulus, int):
+            raise ValueError(f"modulus must be an int, got {self.modulus!r}")
+        if self.modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {self.modulus}")
 
     @classmethod

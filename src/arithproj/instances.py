@@ -34,12 +34,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LinearForm:
-    """The map (a, b) -> alpha*a + beta*b with fixed integer coefficients."""
+    """The map (a, b) -> alpha*a + beta*b with fixed integer coefficients.
+
+    A coefficient that is a bool or not an int raises ValueError, as two
+    zero coefficients do.
+    """
 
     alpha: int
     beta: int
 
     def __post_init__(self) -> None:
+        for coefficient in (self.alpha, self.beta):
+            if isinstance(coefficient, bool) or not isinstance(coefficient, int):
+                raise ValueError(f"coefficients must be ints, got {coefficient!r}")
         if self.alpha == 0 and self.beta == 0:
             raise ValueError("linear form must have a nonzero coefficient")
 

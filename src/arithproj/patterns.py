@@ -155,6 +155,14 @@ def max_slice(pairs: Collection[tuple[int, int]], constrain_d: bool = False) -> 
     )
 
 
+def _check_length(length: int) -> None:
+    """ValueError unless length is an int >= 1; a bool is no length."""
+    if isinstance(length, bool) or not isinstance(length, int):
+        raise ValueError(f"length must be an int, got {length!r}")
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
+
+
 def tensor_sizes(pattern: DigitPattern, length: int) -> dict[str, int]:
     """Slice cardinalities of the length-digit tensor, computed analytically.
 
@@ -162,8 +170,7 @@ def tensor_sizes(pattern: DigitPattern, length: int) -> dict[str, int]:
     carry-free only when the pattern tracks them, so the power identity for
     the skew slice is guaranteed only in that case.
     """
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
+    _check_length(length)
     sizes = {name: len(values) ** length for name, values in pattern.slices.items()}
     sizes["G"] = len(pattern.pairs) ** length
     sizes["differences"] = len(pattern.difference_slice) ** length
@@ -183,9 +190,9 @@ def tensor_pattern(pattern: DigitPattern, length: int, base: int | None = None) 
     length exceeds 63 digits, when the pair count would exceed
     DEFAULT_PAIR_CAP, or when the largest element, max digit *
     (base**length - 1) / (base - 1), would exceed ELEMENT_MAGNITUDE_CAP.
+    A length that is a bool, not an int or below 1 raises ValueError.
     """
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
+    _check_length(length)
     threshold = min_base(pattern)
     if base is None:
         base = threshold

@@ -23,9 +23,10 @@ Every verdict is an integer comparison: each ladder step is one integer
 row (name, lhs_num, rhs_num, lhs_den), a left side as a numerator over a
 positive denominator and a right side as an integer, and the verdict
 cross-multiplies, so x <= N^(p/q) is x**q <= N**p.  A ChainReport keeps
-the rows and decides all_hold on them; it builds its Inequality objects,
-and their Fraction sides, only when output reads them.  A budget is a
-plain int: a bool, a float or any other type raises ValueError.
+the rows and decides all_hold on them, and its to_json_dict is the one
+place a row becomes JSON, with its sides and slack as reduced fractions.
+A budget is a plain int: a bool, a float or any other type raises
+ValueError.
 
 The ladder counts stream: each verify_* ladder makes one forward walk
 over the sorted pairs of G that numbers its rows, and its count runs the
@@ -83,9 +84,8 @@ import operator
 import struct
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
@@ -103,7 +103,6 @@ __all__ = [
     "FOUR_SLICE_EXPONENT",
     "THREE_SLICE_EXPONENT",
     "ChainReport",
-    "Inequality",
     "Wedge",
     "enumerate_wedges",
     "linked_quad_problem",
@@ -399,67 +398,32 @@ def _skew_collisions(walk: _IdRows) -> int:
     return sum(n * n for fiber in fibers.values() for n in fiber.values())
 
 
-@dataclass(slots=True)
-class Inequality:
-    """One exact comparison lhs <= rhs: a rational left side, kept as an
-    integer numerator over a positive integer denominator, and an integer
-    right side.
-
-    holds is decided on the integers, lhs_num <= rhs_num * lhs_den; the
-    Fraction sides lhs, rhs and slack are built only when read.  A bool or
-    non-int term, or a denominator below 1, raises ValueError.
-    """
-
-    name: str
-    lhs_num: int
-    rhs_num: int
-    lhs_den: int = 1
-    holds: bool = field(init=False)
-
-    def __post_init__(self) -> None:
-        for term in (self.lhs_num, self.rhs_num, self.lhs_den):
-            if isinstance(term, bool) or not isinstance(term, int):
-                raise ValueError(f"{self.name}: every term must be an int, got {term!r}")
-        if self.lhs_den < 1:
-            raise ValueError(f"{self.name}: the denominator must be >= 1")
-        self.holds = self.lhs_num <= self.rhs_num * self.lhs_den
-
-    @property
-    def lhs(self) -> Fraction:
-        return Fraction(self.lhs_num, self.lhs_den)
-
-    @property
-    def rhs(self) -> Fraction:
-        return Fraction(self.rhs_num)
-
-    @property
-    def slack(self) -> Fraction:
-        return self.rhs - self.lhs
-
-    def to_json_dict(self) -> dict:
-        lhs, rhs, slack = self.lhs, self.rhs, self.slack
-        return {
-            "name": self.name,
-            "lhs": {"num": lhs.numerator, "den": lhs.denominator},
-            "rhs": {"num": rhs.numerator, "den": rhs.denominator},
-            "holds": self.holds,
-            "slack": {"num": slack.numerator, "den": slack.denominator},
-        }
-
-
 # one ladder step as plain integers: (name, lhs_num, rhs_num, lhs_den)
 _Step = tuple[str, int, int, int]
+
+
+def _step_json(name: str, lhs_num: int, rhs_num: int, lhs_den: int) -> dict:
+    """One step row as JSON: the sides lhs_num/lhs_den and rhs_num and the
+    slack rhs - lhs as reduced {num, den}, and holds decided on the integers."""
+    lhs = Fraction(lhs_num, lhs_den)
+    slack = rhs_num - lhs
+    return {
+        "name": name,
+        "lhs": {"num": lhs.numerator, "den": lhs.denominator},
+        "rhs": {"num": rhs_num, "den": 1},
+        "holds": lhs_num <= rhs_num * lhs_den,
+        "slack": {"num": slack.numerator, "den": slack.denominator},
+    }
 
 
 @dataclass(frozen=True)
 class ChainReport:
     """A ladder's verdict on one budget.
 
-    steps holds one integer row (name, lhs_num, rhs_num, lhs_den) per step,
-    the arguments of its Inequality, and all_hold compares the rows'
-    integers, lhs_num <= rhs_num * lhs_den.  inequalities builds the
-    Inequality objects from the rows the first time it is read and keeps
-    them.
+    steps holds one integer row (name, lhs_num, rhs_num, lhs_den) per step:
+    the comparison lhs_num / lhs_den <= rhs_num, with lhs_den >= 1.
+    all_hold compares the rows' integers, lhs_num <= rhs_num * lhs_den, and
+    to_json_dict encodes each row with its Fraction sides and slack.
     """
 
     budget: int
@@ -473,15 +437,11 @@ class ChainReport:
                 return False
         return True
 
-    @cached_property
-    def inequalities(self) -> tuple[Inequality, ...]:
-        return tuple(Inequality(*step) for step in self.steps)
-
     def to_json_dict(self) -> dict:
         return {
             "N": self.budget,
             "cardinalities": dict(self.cardinalities),
-            "inequalities": [ineq.to_json_dict() for ineq in self.inequalities],
+            "inequalities": [_step_json(*step) for step in self.steps],
             "all_hold": self.all_hold,
         }
 

@@ -38,6 +38,10 @@ def test_modulus_must_be_at_least_two():
         AmbientGroup.integers_mod(0)
     with pytest.raises(ValueError):
         AmbientGroup.integers_mod(-5)
+    # a float modulus would give float projections, and a bool is no modulus
+    for modulus in (7.0, "7", True):
+        with pytest.raises(ValueError, match="modulus must be an int"):
+            AmbientGroup(modulus)
 
 
 def test_group_json_round_trip():

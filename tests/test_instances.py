@@ -58,6 +58,9 @@ def test_linear_form_values():
     assert projected(m, LinearForm(3, -2), (1, 5)) == {0}
     with pytest.raises(ValueError):
         LinearForm(0, 0)
+    for alpha, beta in ((1.5, 0), (True, False), (1, "2")):
+        with pytest.raises(ValueError, match="coefficients must be ints"):
+            LinearForm(alpha, beta)
     # the budgeted slices, in report order; D only under with_d
     assert budgeted_slices() == {
         "A": LinearForm(1, 0), "B": LinearForm(0, 1), "C": SUM,
@@ -126,6 +129,16 @@ def test_json_file_round_trip(tmp_path):
     doc = json.loads(path.read_text())
     assert set(doc) == {"group", "A", "B", "G"}
     assert doc["group"] == "Z"
+    # a modular instance round-trips with an int modulus; a float one is
+    # refused when the group is built, before save could write {"mod": 7.0}
+    modular = Instance(
+        group=AmbientGroup.integers_mod(7), a_set=(3, 5), b_set=(1, 6), pairs=((3, 1), (5, 6))
+    )
+    save_instance(modular, path)
+    assert load_instance(path) == modular
+    assert json.loads(path.read_text())["group"] == {"mod": 7}
+    with pytest.raises(ValueError, match="modulus must be an int"):
+        save_instance(Instance(AmbientGroup(7.0), (3, 5), (1, 6), ((3, 1), (5, 6))), path)
 
 
 def test_load_rejects_malformed(tmp_path):

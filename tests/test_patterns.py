@@ -179,6 +179,11 @@ def test_constructed_instances_pass_hypotheses():
 def test_tensor_pattern_errors():
     with pytest.raises(ValueError):
         tensor_pattern(EXAMPLE_ONE_PATTERN, 0)
+    # a float length would give float sizes, and a bool is no length
+    for length in (2.0, True):
+        for build in (tensor_sizes, tensor_pattern):
+            with pytest.raises(ValueError, match="length must be an int"):
+                build(EXAMPLE_ONE_PATTERN, length)
     with pytest.raises(InvalidBase):
         tensor_pattern(EXAMPLE_ONE_PATTERN, 2, base=5)
     with pytest.raises(InstanceTooLarge):
